@@ -1,25 +1,18 @@
-// Compile-speed benchmark for the staged ILP solver core (presolve +
-// chain/tree decomposition + flat branch & bound) against the pre-overhaul
-// solver kept behind IlpEngine::kLegacy, plus the anytime portfolio engine
-// (GRASP + simulated annealing racing the branch & bound).
+// Compile-speed benchmark for the ILP solver pipeline (presolve + variable
+// elimination + the search portfolio, i.e. flat branch & bound raced by
+// GRASP and simulated annealing on budget aborts).
 //
 // Compilations of the fig8 GPT setting (GPT-2.6B on 8 GPUs, 16 target
-// layers) drive the comparison:
-//   legacy cold     - old solver, all caches cleared
-//   staged cold     - staged pipeline, all caches cleared
-//   staged warm     - staged pipeline again without clearing (memo hits)
-//   portfolio cold  - portfolio engine, all caches cleared
-//   portfolio warm  - portfolio engine again without clearing
-// Cold and warm plans of the same engine must be bit-identical
-// (PlanEquals): the pipeline is deterministic and the memo layer is exact.
-// Cross-engine plans are NOT required to match bit-for-bit — on
-// budget-aborted cells the engines legitimately pick different co-optimal
-// or incumbent plans; the per-problem equivalence (equal objectives,
-// identical choices when both prove optimality) is covered by
-// tests/solver_crosscheck_test. The presolve effectiveness counters
-// (nodes/choices/edges before and after) come from the interned Metrics
-// registry, reported as per-run deltas, as do the anytime gap statistics
-// (max/mean relative optimality gap over each run's aborted solves).
+// layers) drive the measurement:
+//   cold     - all caches cleared
+//   cold#2   - all caches cleared again (the cold figure is the min of two)
+//   warm     - again without clearing (memo hits)
+// All three plans must be bit-identical (PlanEquals): the pipeline is
+// deterministic and the memo layer is exact. The presolve effectiveness
+// counters (nodes/choices/edges before and after) come from the interned
+// Metrics registry, reported as per-run deltas, as do the anytime gap
+// statistics (max/mean relative optimality gap over each run's aborted
+// solves).
 //
 // Usage: compile_speed [--threads N] [--json PATH]
 #include <algorithm>
@@ -30,7 +23,6 @@
 #include "src/core/api.h"
 #include "src/intra/ilp_cache.h"
 #include "src/models/gpt.h"
-#include "src/solver/ilp_solver.h"
 #include "src/support/trace.h"
 
 namespace {
@@ -58,8 +50,6 @@ struct PresolveSnapshot {
   long long presolve_micros = 0;
   long long bnb_micros = 0;
   long long build_micros = 0;
-  long long seed_micros = 0;
-  long long legacy_micros = 0;
   long long enum_micros = 0;
   long long edge_micros = 0;
 
@@ -74,8 +64,6 @@ struct PresolveSnapshot {
     s.presolve_micros = Metrics::Value("ilp/presolve/micros");
     s.bnb_micros = Metrics::Value("ilp/bnb/micros");
     s.build_micros = Metrics::Value("ilp/build/micros");
-    s.seed_micros = Metrics::Value("ilp/seed/micros");
-    s.legacy_micros = Metrics::Value("ilp/legacy/micros");
     s.enum_micros = Metrics::Value("ilp/build/enum_micros");
     s.edge_micros = Metrics::Value("ilp/build/edge_micros");
     s.nodes_in = Metrics::Value("ilp/presolve/nodes_in");
@@ -116,8 +104,6 @@ struct PresolveSnapshot {
     d.presolve_micros = presolve_micros - before.presolve_micros;
     d.bnb_micros = bnb_micros - before.bnb_micros;
     d.build_micros = build_micros - before.build_micros;
-    d.seed_micros = seed_micros - before.seed_micros;
-    d.legacy_micros = legacy_micros - before.legacy_micros;
     d.enum_micros = enum_micros - before.enum_micros;
     d.edge_micros = edge_micros - before.edge_micros;
     return d;
@@ -141,18 +127,17 @@ int main(int argc, char** argv) {
   config.microbatch = 8;
   const ClusterSpec cluster = ClusterFor(bench_case.num_gpus);
 
-  const auto compile = [&](IlpEngine engine) {
+  const auto compile = [&] {
     Graph graph = BuildGpt(config);
     ParallelizeOptions options = BaselineOptionTemplate();
     options.inter.num_microbatches =
         static_cast<int>(bench_case.global_batch / config.microbatch);
     options.inter.target_layers = 16;
     options.inter.compile_threads = flags.threads;
-    options.inter.profiler.intra.solver.engine = engine;
     return Parallelize(graph, cluster, options);
   };
 
-  std::printf("=== compile_speed: legacy vs staged vs portfolio solver, %s on %d GPUs ===\n",
+  std::printf("=== compile_speed: ILP solver pipeline, %s on %d GPUs ===\n",
               bench_case.name.c_str(), bench_case.num_gpus);
   std::printf("%-14s %10s | %8s %8s %8s | %10s %12s %10s | %6s %6s %10s\n", "run", "total(s)",
               "solves", "hits", "misses", "nodes", "choices", "edges", "opt", "abort",
@@ -164,7 +149,7 @@ int main(int argc, char** argv) {
     double seconds = 0.0;
   };
 
-  const auto run = [&](const char* name, IlpEngine engine, bool cold) {
+  const auto run = [&](const char* name, bool cold) {
     if (cold) {
       IlpMemoCache::Global().Clear();  // Also clears the solver core memo.
     }
@@ -172,7 +157,7 @@ int main(int argc, char** argv) {
     Metrics::Get("ilp/outcome/gap_ppm_max")->Reset();
     const PresolveSnapshot before = PresolveSnapshot::Take();
     RunResult r;
-    r.plan = compile(engine);
+    r.plan = compile();
     if (!r.plan.ok()) {
       std::printf("%-14s compilation failed: %s\n", name, r.plan.status().ToString().c_str());
       return r;
@@ -188,18 +173,16 @@ int main(int argc, char** argv) {
                 d.choices_in, d.choices_out, d.edges_in, d.edges_out, d.optimal, d.aborted,
                 d.explored);
     if (d.elim_solved + d.elim_bailed > 0) {
-      std::printf("%-14s elimination: %lld solved, %lld bailed to B&B, %lld table cells,"
+      std::printf("%-14s elimination: %lld solved, %lld bailed to search, %lld table cells,"
                   " %.3fs tables + %.3fs ordering\n",
                   "", d.elim_solved, d.elim_bailed, d.elim_cells, d.elim_micros * 1e-6,
                   d.plan_micros * 1e-6);
-      std::printf("%-14s stage time: presolve %.3fs, B&B %.3fs\n", "",
+      std::printf("%-14s stage time: presolve %.3fs, search %.3fs\n", "",
                   d.presolve_micros * 1e-6, d.bnb_micros * 1e-6);
     }
-    if (d.build_micros + d.legacy_micros > 0) {
-      std::printf("%-14s pipeline: build %.3fs (enum %.3fs, edges %.3fs),"
-                  " seed block %.3fs, legacy solve %.3fs\n",
-                  "", d.build_micros * 1e-6, d.enum_micros * 1e-6, d.edge_micros * 1e-6,
-                  d.seed_micros * 1e-6, d.legacy_micros * 1e-6);
+    if (d.build_micros > 0) {
+      std::printf("%-14s pipeline: build %.3fs (enum %.3fs, edges %.3fs)\n", "",
+                  d.build_micros * 1e-6, d.enum_micros * 1e-6, d.edge_micros * 1e-6);
     }
     const double max_gap = Metrics::MaxValue("ilp/outcome/gap_ppm_max") * 1e-6;
     const double mean_gap = d.aborted > 0 ? (d.gap_ppm_sum * 1e-6) / d.aborted : 0.0;
@@ -240,66 +223,34 @@ int main(int argc, char** argv) {
     return r;
   };
 
-  // Two cold runs per engine; the speedup summary uses the per-engine
-  // minimum (standard wall-clock practice: the min measures the code, the
-  // spread measures ambient machine load). The staged and portfolio colds
-  // are interleaved so in-process drift (allocator state, cache history —
-  // later compiles in one process measure a few percent slower) lands on
-  // both engines instead of whichever happens to run last. Each warm run
-  // stays directly after its own engine's cold: a warm compile must hit
-  // the engine-salted memo entries that cold run just wrote.
-  const RunResult legacy = run("legacy cold", IlpEngine::kLegacy, /*cold=*/true);
-  const RunResult legacy2 = run("legacy cold#2", IlpEngine::kLegacy, /*cold=*/true);
-  const RunResult staged = run("staged cold", IlpEngine::kStaged, /*cold=*/true);
-  const RunResult portfolio = run("portfolio cold", IlpEngine::kPortfolio, /*cold=*/true);
-  const RunResult staged2 = run("staged cold#2", IlpEngine::kStaged, /*cold=*/true);
-  const RunResult warm = run("staged warm", IlpEngine::kStaged, /*cold=*/false);
-  const RunResult portfolio2 = run("portfolio cold#2", IlpEngine::kPortfolio, /*cold=*/true);
-  const RunResult pwarm = run("portfolio warm", IlpEngine::kPortfolio, /*cold=*/false);
-  if (!legacy.plan.ok() || !legacy2.plan.ok() || !staged.plan.ok() || !staged2.plan.ok() ||
-      !warm.plan.ok() || !portfolio.plan.ok() || !portfolio2.plan.ok() || !pwarm.plan.ok()) {
+  // Two cold runs; the summary uses their minimum (standard wall-clock
+  // practice: the min measures the code, the spread measures ambient
+  // machine load). The warm run follows directly: it must hit the memo
+  // entries the cold runs just wrote.
+  const RunResult cold = run("cold", /*cold=*/true);
+  const RunResult cold2 = run("cold#2", /*cold=*/true);
+  const RunResult warm = run("warm", /*cold=*/false);
+  if (!cold.plan.ok() || !cold2.plan.ok() || !warm.plan.ok()) {
     return 1;
   }
 
-  // Cold and warm compiles of the same engine must agree bit-for-bit: the
-  // pipeline is deterministic and every memo hit is exact. Cross-engine
-  // plan equivalence is a per-problem property (equal objectives, identical
-  // choices when both prove optimality) verified by the randomized
-  // cross-check suite, not a whole-compile one: budget-aborted cells may
-  // legitimately settle on different incumbents.
-  const bool identical = PlanEquals(staged.plan->pipeline, staged2.plan->pipeline) &&
-                         PlanEquals(staged.plan->pipeline, warm.plan->pipeline);
-  const bool portfolio_identical =
-      PlanEquals(portfolio.plan->pipeline, portfolio2.plan->pipeline) &&
-      PlanEquals(portfolio.plan->pipeline, pwarm.plan->pipeline);
-  const double legacy_cold = std::min(legacy.seconds, legacy2.seconds);
-  const double staged_cold = std::min(staged.seconds, staged2.seconds);
-  const double portfolio_cold = std::min(portfolio.seconds, portfolio2.seconds);
-  const double cold_speedup = staged_cold > 0.0 ? legacy_cold / staged_cold : 0.0;
-  const double warm_speedup = warm.seconds > 0.0 ? legacy_cold / warm.seconds : 0.0;
-  const double portfolio_vs_staged = portfolio_cold > 0.0 ? staged_cold / portfolio_cold : 0.0;
-  std::printf("\nplans bit-identical (staged cold vs warm): %s\n",
+  // Cold and warm compiles must agree bit-for-bit: the pipeline is
+  // deterministic and every memo hit is exact.
+  const bool identical = PlanEquals(cold.plan->pipeline, cold2.plan->pipeline) &&
+                         PlanEquals(cold.plan->pipeline, warm.plan->pipeline);
+  const double cold_seconds = std::min(cold.seconds, cold2.seconds);
+  std::printf("\nplans bit-identical (cold vs cold#2 vs warm): %s\n",
               identical ? "yes" : "NO (BUG)");
-  std::printf("plans bit-identical (portfolio cold vs warm): %s\n",
-              portfolio_identical ? "yes" : "NO (BUG)");
-  std::printf("cold-compile speedup (staged vs legacy): %.2fx\n", cold_speedup);
-  std::printf("warm-compile speedup (warm vs legacy cold): %.2fx\n", warm_speedup);
-  std::printf("cold-compile speedup (portfolio vs staged): %.2fx\n", portfolio_vs_staged);
+  std::printf("cold compile (min of two): %.3fs, warm compile: %.3fs\n", cold_seconds,
+              warm.seconds);
 
   report.AddRow()
       .Str("run", "summary")
       .Bool("plans_identical", identical)
-      .Bool("portfolio_plans_identical", portfolio_identical)
-      .Num("legacy_cold_seconds", legacy_cold)
-      .Num("staged_cold_seconds", staged_cold)
-      .Num("portfolio_cold_seconds", portfolio_cold)
-      .Num("warm_seconds", warm.seconds)
-      .Num("portfolio_warm_seconds", pwarm.seconds)
-      .Num("cold_speedup", cold_speedup)
-      .Num("warm_speedup", warm_speedup)
-      .Num("portfolio_vs_staged_speedup", portfolio_vs_staged);
+      .Num("cold_seconds", cold_seconds)
+      .Num("warm_seconds", warm.seconds);
   if (!report.Write(flags.json_path)) {
     return 1;
   }
-  return identical && portfolio_identical ? 0 : 1;
+  return identical ? 0 : 1;
 }

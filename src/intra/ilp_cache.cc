@@ -62,8 +62,7 @@ bool ComputeIlpCacheKey(const ClusterSpec& cluster, const SubmeshShape& physical
                         const IntraOpOptions& options, uint64_t structural_hash,
                         IlpCacheKey* key) {
   // Unhashable solver inputs: opaque closures and explicit overrides.
-  if (options.filter != nullptr || !options.forced_choice.empty() ||
-      !options.solver.seeds.empty()) {
+  if (options.filter != nullptr || !options.forced_choice.empty()) {
     return false;
   }
   Fnv1a64 hasher;
@@ -92,14 +91,10 @@ bool ComputeIlpCacheKey(const ClusterSpec& cluster, const SubmeshShape& physical
   hasher.I32(options.num_microbatches);
   hasher.Bool(options.rematerialize);
   hasher.Double(options.activation_fraction);
-  hasher.Bool(options.seed_with_plan_families);
+  // The pool pointer is deliberately not hashed: results are identical
+  // with or without one.
   hasher.I64(options.solver.max_search_nodes);
   hasher.I64(options.solver.max_elimination_table);
-  hasher.I32(options.solver.beam_width);
-  // Engines are exact but can differ on tie-broken choices, so their
-  // results must not share cache entries. The pool pointer is deliberately
-  // not hashed: results are identical with or without one.
-  hasher.I32(static_cast<int32_t>(options.solver.engine));
   key->structural_hash = structural_hash;
   key->config_hash = hasher.hash();
   return true;

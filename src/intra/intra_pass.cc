@@ -41,9 +41,8 @@ double OpComputeTime(const Operator& op, int64_t shards, const DeviceSpec& devic
   return 0.0;
 }
 
-IntraOpProblem BuildIntraOpProblem(
-    const Graph& graph, const DeviceMesh& mesh, const IntraOpOptions& options,
-    const std::vector<std::vector<ParallelAlgorithm>>* preenumerated) {
+IntraOpProblem BuildIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
+                                   const IntraOpOptions& options) {
   const DeviceSpec& device = mesh.cluster().device;
   IntraOpProblem problem;
   problem.merge = ComputeMergePlan(graph);
@@ -85,8 +84,7 @@ IntraOpProblem BuildIntraOpProblem(
   for (int n = 0; n < num_nodes; ++n) {
     const Operator& op = graph.op(problem.merge.decision_ops[static_cast<size_t>(n)]);
     std::vector<ParallelAlgorithm> algorithms =
-        preenumerated ? (*preenumerated)[static_cast<size_t>(n)]
-                      : EnumerateAlgorithms(op, graph, mesh, device, options.precision);
+        EnumerateAlgorithms(op, graph, mesh, device, options.precision);
     if (options.filter) {
       std::vector<ParallelAlgorithm> kept;
       for (ParallelAlgorithm& a : algorithms) {
@@ -423,73 +421,9 @@ IntraOpResult EvaluateChoice(const Graph& graph, const DeviceMesh& mesh,
   return result;
 }
 
-namespace {
-
-// Canonical restricted plan families used as solver seeds.
-std::vector<AlgorithmFilter> SeedPlanFamilies() {
-  // Batch-parallel (dim 0 only, replicated weights and optimizer).
-  AlgorithmFilter data = [](const Graph&, const DeviceMesh&, const Operator& op,
-                            const ParallelAlgorithm& a) {
-    if (op.weight_grad || op.type == OpType::kParameter || op.type == OpType::kUpdate) {
-      return a.output_spec.IsFullyReplicated();
-    }
-    for (int d = 1; d < a.output_spec.rank(); ++d) {
-      if (a.output_spec.dim(d) != DimSharding::kR) {
-        return false;
-      }
-    }
-    return a.output_spec.rank() == 0 || a.output_spec.dim(0) != DimSharding::kS01;
-  };
-  // Weight-update sharding on top of batch parallelism (ZeRO).
-  AlgorithmFilter zero = [](const Graph&, const DeviceMesh& mesh, const Operator& op,
-                            const ParallelAlgorithm& a) {
-    if (op.type == OpType::kUpdate && op.shape.elements() > 1024) {
-      return !a.output_spec.IsFullyReplicated();
-    }
-    if (op.type == OpType::kParameter) {
-      return true;
-    }
-    if (!op.weight_grad) {
-      for (int d = 1; d < a.output_spec.rank(); ++d) {
-        if (a.output_spec.dim(d) != DimSharding::kR) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-  // Tensor parallelism along the second mesh axis.
-  AlgorithmFilter tensor = [](const Graph&, const DeviceMesh&, const Operator& op,
-                              const ParallelAlgorithm& a) {
-    for (int d = 0; d < a.output_spec.rank(); ++d) {
-      const DimSharding s = a.output_spec.dim(d);
-      if (s == DimSharding::kS01 || (d == 0 && s == DimSharding::kS1 && !op.weight_grad &&
-                                     op.type != OpType::kParameter)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  return {std::move(data), std::move(zero), std::move(tensor)};
-}
-
-// Finds the index of `target` (by spec signature) in `menu`, or -1.
-int MatchAlgorithm(const std::vector<ParallelAlgorithm>& menu, const ParallelAlgorithm& target) {
-  for (size_t i = 0; i < menu.size(); ++i) {
-    if (menu[i].output_spec == target.output_spec &&
-        menu[i].input_specs == target.input_specs) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-}  // namespace
-
 IntraOpResult SolveIntraOp(const Graph& graph, const DeviceMesh& mesh,
                            const IntraOpOptions& options) {
   static Metric* build_micros = Metrics::Get("ilp/build/micros");
-  static Metric* seed_micros = Metrics::Get("ilp/seed/micros");
   const auto build_t0 = std::chrono::steady_clock::now();
   const IntraOpProblem problem = BuildIntraOpProblem(graph, mesh, options);
   build_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -498,66 +432,9 @@ IntraOpResult SolveIntraOp(const Graph& graph, const DeviceMesh& mesh,
   if (!options.forced_choice.empty()) {
     return EvaluateChoice(graph, mesh, problem, options, options.forced_choice, false);
   }
-  IlpSolverOptions solver_options = options.solver;
-  const bool want_seeds = options.seed_with_plan_families && !options.filter;
-  // Staged/portfolio pipeline: solve optimistically without seeds first.
-  // Seed plan families only matter as branch & bound incumbents and as a
-  // floor on budget aborts; when the staged core proves optimality outright
-  // (the common case with presolve + elimination), the three restricted
-  // builds and solves below are pure overhead. The legacy engine keeps the
-  // pre-overhaul always-seed pipeline so A/B comparisons stay faithful.
-  if (want_seeds && solver_options.engine != IlpEngine::kLegacy) {
-    IlpSolution first = IlpSolver(solver_options).Solve(problem.ilp);
-    if (!first.feasible) {
-      IntraOpResult result;
-      return result;
-    }
-    if (first.optimal) {
-      return EvaluateChoice(graph, mesh, problem, options, std::move(first.choice), true);
-    }
-    // Budget abort: fall through to the seeded solve, carrying the aborted
-    // incumbent so the retry can only improve on it.
-    solver_options.seeds.push_back(std::move(first.choice));
-  }
-  if (want_seeds) {
-    const auto seed_t0 = std::chrono::steady_clock::now();
-    for (const AlgorithmFilter& family : SeedPlanFamilies()) {
-      IntraOpOptions restricted = options;
-      restricted.filter = family;
-      restricted.seed_with_plan_families = false;
-      // The main (unfiltered) build already enumerated every node's menu;
-      // the restricted build only re-applies the family filter to it.
-      const IntraOpProblem sub =
-          BuildIntraOpProblem(graph, mesh, restricted, &problem.algorithms);
-      const IlpSolution sub_solution = IlpSolver(options.solver).Solve(sub.ilp);
-      if (!sub_solution.feasible) {
-        continue;
-      }
-      // Translate restricted choices into the unrestricted menu.
-      std::vector<int> seed(problem.algorithms.size(), -1);
-      bool ok = true;
-      for (size_t n = 0; n < problem.algorithms.size() && ok; ++n) {
-        const ParallelAlgorithm& picked =
-            sub.algorithms[n][static_cast<size_t>(sub_solution.choice[n])];
-        const int index = MatchAlgorithm(problem.algorithms[n], picked);
-        if (index < 0) {
-          ok = false;
-        }
-        seed[n] = index;
-      }
-      if (ok) {
-        solver_options.seeds.push_back(std::move(seed));
-      }
-    }
-    seed_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
-                         std::chrono::steady_clock::now() - seed_t0)
-                         .count());
-  }
-  IlpSolver solver(solver_options);
-  IlpSolution solution = solver.Solve(problem.ilp);
+  IlpSolution solution = IlpSolver(options.solver).Solve(problem.ilp);
   if (!solution.feasible) {
-    IntraOpResult result;
-    return result;
+    return IntraOpResult();
   }
   const double gap = solution.optimality_gap();
   IntraOpResult result = EvaluateChoice(graph, mesh, problem, options,

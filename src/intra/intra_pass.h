@@ -46,11 +46,6 @@ struct IntraOpOptions {
   // Force a specific choice per decision node instead of solving (used to
   // evaluate hand-constructed plans); empty = solve.
   std::vector<int> forced_choice;
-  // Seed the solver with the optima of canonical restricted plan families
-  // (data parallel, ZeRO-2/3, tensor parallel) so the unrestricted search
-  // never returns anything worse than them (7.2's dominance claim holds by
-  // construction even under search budgets).
-  bool seed_with_plan_families = true;
 };
 
 // The fully annotated problem: decision nodes, their algorithm menus, and
@@ -92,14 +87,9 @@ struct IntraOpResult {
   std::vector<ShardingSpec> op_specs;
 };
 
-// Builds the ILP for `graph` on `mesh`. `preenumerated`, when non-null,
-// supplies the unfiltered per-node algorithm menus from a previous build of
-// the same (graph, mesh, precision) — the seed-family builds reuse the main
-// build's enumeration this way, since options.filter applies after
-// enumeration and everything else the menus depend on is identical.
-IntraOpProblem BuildIntraOpProblem(
-    const Graph& graph, const DeviceMesh& mesh, const IntraOpOptions& options,
-    const std::vector<std::vector<ParallelAlgorithm>>* preenumerated = nullptr);
+// Builds the ILP for `graph` on `mesh`.
+IntraOpProblem BuildIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
+                                   const IntraOpOptions& options);
 
 // Builds and solves; the one-stop entry point.
 IntraOpResult SolveIntraOp(const Graph& graph, const DeviceMesh& mesh,

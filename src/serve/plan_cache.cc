@@ -472,7 +472,7 @@ bool ComputePlanCacheKey(const Graph& graph, const ClusterSpec& cluster,
                          const ParallelizeOptions& options, PlanCacheKey* key) {
   const IntraOpOptions& intra = options.inter.profiler.intra;
   // Closures and explicit overrides cannot be folded into a hash.
-  if (intra.filter != nullptr || !intra.forced_choice.empty() || !intra.solver.seeds.empty()) {
+  if (intra.filter != nullptr || !intra.forced_choice.empty()) {
     return false;
   }
   // A profile source without a stable fingerprint makes the compile
@@ -531,11 +531,8 @@ bool ComputePlanCacheKey(const Graph& graph, const ClusterSpec& cluster,
   hasher.Bool(intra.rematerialize);
   hasher.Double(intra.activation_fraction);
   hasher.I32(intra.num_microbatches);
-  hasher.Bool(intra.seed_with_plan_families);
   hasher.I64(intra.solver.max_search_nodes);
   hasher.I64(intra.solver.max_elimination_table);
-  hasher.I32(intra.solver.beam_width);
-  hasher.I32(static_cast<int32_t>(intra.solver.engine));
   hasher.Bool(intra.solver.use_core_memo);
   hasher.U64(profile_fingerprint);
   key->config_hash = hasher.hash();

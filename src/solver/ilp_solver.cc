@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/solver/elimination.h"
-#include "src/solver/flat_bnb.h"
 #include "src/solver/ilp_presolve.h"
 #include "src/solver/portfolio.h"
 #include "src/support/hashing.h"
@@ -70,16 +69,15 @@ namespace {
 // Process-wide memo of core solves. The stage profiler solves the same
 // presolved core many times across mesh variants whose differences folded
 // away in presolve; the key covers everything the core search depends on
-// (core fingerprint, budget, projected seeds), so a hit is exact. Cleared
+// (core fingerprint, budget, elimination cap), so a hit is exact. Cleared
 // by IlpMemoCache::Clear() via ClearIlpCoreMemo().
 struct CoreEntry {
   std::vector<int> choice;  // Core-compact.
   bool aborted = false;
   bool by_elimination = false;
-  bool by_portfolio = false;
   int64_t explored = 0;
-  // Core-space (clamped) lower bound from the branch & bound; only
-  // meaningful when `aborted` (exact paths prove optimality instead).
+  // Core-space (clamped) lower bound from the search; only meaningful
+  // when `aborted` (exact paths prove optimality instead).
   double lower_bound = 0.0;
 };
 
@@ -94,26 +92,6 @@ CoreMemo& GlobalCoreMemo() {
 }
 
 constexpr size_t kCoreMemoCap = 65536;
-
-// Projects a full-space seed assignment into the presolved core's compact
-// choice space. Returns false when any seeded choice was eliminated by
-// presolve (the seed then cannot be represented and is skipped as an
-// incumbent; the seed-floor on the final objective still applies).
-bool ProjectSeed(const PresolvedProblem& pre, const std::vector<int>& seed,
-                 std::vector<int>* out) {
-  out->assign(pre.core_nodes.size(), 0);
-  for (size_t c = 0; c < pre.core_nodes.size(); ++c) {
-    const int v = pre.core_nodes[c];
-    const std::vector<int>& kept = pre.kept[static_cast<size_t>(v)];
-    const int s = seed[static_cast<size_t>(v)];
-    const auto it = std::lower_bound(kept.begin(), kept.end(), s);
-    if (it == kept.end() || *it != s) {
-      return false;
-    }
-    (*out)[c] = static_cast<int>(it - kept.begin());
-  }
-  return true;
-}
 
 void RecordPresolveMetrics(const IlpProblem& raw, const PresolvedProblem& pre) {
   static Metric* nodes_in = Metrics::Get("ilp/presolve/nodes_in");
@@ -142,25 +120,6 @@ void RecordPresolveMetrics(const IlpProblem& raw, const PresolvedProblem& pre) {
   edges_folded->Add(pre.stats.edges_folded);
 }
 
-// Weakest admissible bound — the sum of per-node and per-edge matrix
-// minima. Used for the legacy engine, which reports no bound of its own.
-double StaticLowerBound(const IlpProblem& p) {
-  double total = 0.0;
-  for (const auto& costs : p.node_costs) {
-    double mn = kInfCost;
-    for (double c : costs) mn = std::min(mn, c);
-    total += mn;
-  }
-  for (const IlpProblem::Edge& e : p.edges) {
-    double mn = kInfCost;
-    for (const auto& row : e.cost) {
-      for (double c : row) mn = std::min(mn, c);
-    }
-    total += mn;
-  }
-  return total;
-}
-
 void RecordOutcomeMetrics(const IlpSolution& solution) {
   static Metric* optimal = Metrics::Get("ilp/outcome/optimal");
   static Metric* aborted = Metrics::Get("ilp/outcome/aborted");
@@ -187,18 +146,6 @@ void ClearIlpCoreMemo() {
 }
 
 IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
-  if (options_.engine == IlpEngine::kLegacy) {
-    static Metric* legacy_micros = Metrics::Get("ilp/legacy/micros");
-    const auto legacy_t0 = std::chrono::steady_clock::now();
-    IlpSolution legacy = SolveIlpLegacy(raw, options_);
-    legacy_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
-                           std::chrono::steady_clock::now() - legacy_t0)
-                           .count());
-    legacy.lower_bound = legacy.optimal ? legacy.objective
-                                        : std::min(StaticLowerBound(raw), legacy.objective);
-    RecordOutcomeMetrics(legacy);
-    return legacy;
-  }
   raw.Validate();
   if (raw.num_nodes() == 0) {
     IlpSolution empty;
@@ -219,13 +166,12 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
   RecordPresolveMetrics(raw, pre);
   if (pre.infeasible) {
     IlpSolution infeasible;
-    infeasible.method = "branch-and-bound";
+    infeasible.method = "presolve";
     return infeasible;  // Some node has no feasible choice.
   }
 
   static Metric* dp_path = Metrics::Get("ilp/path/dp");
   static Metric* elim_path = Metrics::Get("ilp/path/elim");
-  static Metric* bnb_path = Metrics::Get("ilp/path/bnb");
   static Metric* portfolio_path = Metrics::Get("ilp/path/portfolio");
   static Metric* memo_hits = Metrics::Get("ilp/core_memo/hits");
   static Metric* memo_misses = Metrics::Get("ilp/core_memo/misses");
@@ -244,27 +190,17 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
     return solution;
   }
 
-  std::vector<std::vector<int>> core_seeds;
-  for (const std::vector<int>& seed : options_.seeds) {
-    if (static_cast<int>(seed.size()) != raw.num_nodes()) continue;
-    std::vector<int> projected;
-    if (ProjectSeed(pre, seed, &projected)) {
-      core_seeds.push_back(std::move(projected));
-    }
-  }
-
   CoreEntry entry;
   uint64_t exact_key = 0;
   uint64_t full_key = 0;
   bool have_entry = false;
   if (options_.use_core_memo) {
-    // Two keys into one table. Elimination ignores seed incumbents and the
-    // search budget, so its (exact, deterministic) results are stored under
-    // a seedless key and hit across mesh variants whose cores agree but
-    // whose projected seeds differ. B&B results can depend on the seeds
-    // (incumbent pruning and ties on budget aborts), so they key on the
-    // budget and seeds too. The elimination cap participates in both keys:
-    // both engines are exact but tie-break differently.
+    // Two keys into one table. Elimination ignores the search budget, so
+    // its (exact, deterministic) results are stored under a budget-free key
+    // and hit across solves with different budgets. Search results depend
+    // on the budget (ties and incumbents on aborts), so they key on it too.
+    // The elimination cap participates in both keys: elimination and
+    // search are both exact but tie-break differently.
     Fnv1a64 exact_hasher;
     exact_hasher.U64(0x45'4c'49'4dULL);  // Salt disjoint from the full key.
     exact_hasher.U64(IlpProblemFingerprint(pre.core));
@@ -274,15 +210,6 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
     hasher.U64(IlpProblemFingerprint(pre.core));
     hasher.I64(options_.max_search_nodes);
     hasher.I64(options_.max_elimination_table);
-    // Engine salt: portfolio and plain-staged searches can return different
-    // (equally valid) plans on budget aborts, so their entries must not
-    // alias. The exact key stays engine-free — elimination results are
-    // engine-independent and shared.
-    hasher.I32(static_cast<int32_t>(options_.engine));
-    hasher.I32(static_cast<int32_t>(core_seeds.size()));
-    for (const std::vector<int>& s : core_seeds) {
-      for (int c : s) hasher.I32(c);
-    }
     full_key = hasher.hash();
     CoreMemo& memo = GlobalCoreMemo();
     std::lock_guard<std::mutex> lock(memo.mu);
@@ -305,28 +232,12 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
     if (eliminated.has_value()) {
       entry.choice = std::move(*eliminated);
       entry.by_elimination = true;
-    } else if (options_.engine == IlpEngine::kPortfolio) {
+    } else {
       PortfolioOptions popt;
       popt.budget = std::max<int64_t>(1, options_.max_search_nodes);
       popt.pool = options_.pool;
-      popt.incumbents = core_seeds;
       const auto bnb_t0 = std::chrono::steady_clock::now();
       PortfolioResult res = SolvePortfolio(pre.core, popt);
-      bnb_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - bnb_t0)
-                          .count());
-      entry.choice = std::move(res.choice);
-      entry.aborted = res.aborted;
-      entry.explored = res.explored;
-      entry.lower_bound = res.lower_bound;
-      entry.by_portfolio = true;
-    } else {
-      FlatSearchOptions fopt;
-      fopt.budget = std::max<int64_t>(1, options_.max_search_nodes);
-      fopt.pool = options_.pool;
-      fopt.incumbents = core_seeds;
-      const auto bnb_t0 = std::chrono::steady_clock::now();
-      FlatSearchResult res = SolveCore(pre.core, fopt);
       bnb_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - bnb_t0)
                           .count());
@@ -344,16 +255,14 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
     }
   }
 
-  (entry.by_elimination ? elim_path : (entry.by_portfolio ? portfolio_path : bnb_path))->Add(1);
+  (entry.by_elimination ? elim_path : portfolio_path)->Add(1);
   solution.choice = pre.Reconstruct(entry.choice);
   solution.objective = raw.Evaluate(solution.choice);
   solution.nodes_explored = entry.explored;
   // Anytime bound, lifted from core space to raw space. Presolve folds
   // carry a constant offset between the core objective and the raw
   // objective of the reconstructed assignment, so the same offset lifts
-  // the core lower bound. Computed before the seed floor: seeds are
-  // feasible solutions, so the true optimum (and hence the bound) is
-  // below them by definition.
+  // the core lower bound.
   double raw_lb = solution.objective;
   if (entry.aborted && std::isfinite(solution.objective)) {
     const double core_val = pre.core.Evaluate(entry.choice);
@@ -361,23 +270,12 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
       raw_lb = entry.lower_bound + (solution.objective - core_val);
     }
   }
-  // Seed floor: a caller-provided plan can never lose to the search result,
-  // even on a budget abort.
-  for (const std::vector<int>& seed : options_.seeds) {
-    if (static_cast<int>(seed.size()) != raw.num_nodes()) continue;
-    const double value = raw.Evaluate(seed);
-    if (std::isfinite(value) && value < solution.objective) {
-      solution.objective = value;
-      solution.choice = seed;
-    }
-  }
   solution.feasible = std::isfinite(solution.objective);
   solution.lower_bound = std::min(raw_lb, solution.objective);
   if (entry.by_elimination) {
     solution.method = "elimination";
   } else {
-    const char* base = entry.by_portfolio ? "portfolio" : "branch-and-bound";
-    solution.method = entry.aborted ? std::string(base) + "(budget)" : base;
+    solution.method = entry.aborted ? "portfolio(budget)" : "portfolio";
   }
   solution.optimal = !entry.aborted && solution.feasible;
   RecordOutcomeMetrics(solution);

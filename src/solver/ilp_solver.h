@@ -5,29 +5,27 @@
 //     sum_v s_v . (c_v + d_v)  +  sum_(v,u) s_v^T R_vu s_u,
 // i.e. a pairwise discrete energy over the computational graph. The paper
 // feeds this to the off-the-shelf CBC solver [14]; we implement an exact
-// solver directly on this structure, as a staged pipeline:
+// solver directly on this structure, as one staged pipeline:
 //   1. presolve (src/solver/ilp_presolve): parallel-edge merging,
-//      dominated-choice elimination, and degree-0/1 folding run to a
+//      dominated-choice elimination, and degree-0/1/2 folding run to a
 //      fixpoint — chains and trees (most merged DL graphs) fold away
-//      entirely, which subsumes the old forest Viterbi DP;
+//      entirely, which subsumes a forest Viterbi DP;
 //   2. the residual core is first attempted by exact width-bounded
 //      variable elimination (src/solver/elimination) — real stage graphs
 //      leave cores of small induced width, solved in k^(width+1) time;
-//   3. cores whose elimination tables would blow past the cap go to a
-//      flat-memory branch & bound (src/solver/flat_bnb) with a
-//      frontier-conditioned incremental bound, regret variable ordering,
-//      and optional root-level parallel branching on a thread pool; under
-//      the default IlpEngine::kPortfolio, GRASP and simulated annealing
-//      (src/solver/portfolio) first spend a deterministic slice of the
-//      search budget and hand the branch & bound their best incumbent as
-//      its initial bound;
+//   3. cores whose elimination tables would blow past the cap go to the
+//      search portfolio (src/solver/portfolio): the flat-memory branch &
+//      bound (src/solver/flat_bnb) runs first under most of the budget and
+//      returns as soon as it proves optimality; only when it aborts do GRASP
+//      and simulated annealing spend the reserved slice, and the best
+//      incumbent of all rounds comes back with the search's proven lower
+//      bound. Small or starved cores skip the metaheuristics and run the
+//      plain branch & bound;
 //   4. the core assignment is reconstructed to the original space and
-//      re-evaluated on the original problem, and caller seeds are applied
-//      as a floor so a budget abort can never lose to a provided plan.
-// Results are deterministic and independent of the thread pool. The
-// pre-overhaul single-stage solver is kept behind IlpEngine::kLegacy for
-// randomized cross-checks (tests/solver_crosscheck_test.cc); both engines
-// are exact, so objectives agree wherever neither aborts.
+//      re-evaluated on the original problem.
+// Results are deterministic and independent of the thread pool. Exactness
+// is cross-checked against a brute-force oracle on randomized instances
+// (tests/solver_crosscheck_test.cc).
 #ifndef SRC_SOLVER_ILP_SOLVER_H_
 #define SRC_SOLVER_ILP_SOLVER_H_
 
@@ -70,60 +68,38 @@ struct IlpSolution {
   bool optimal = false;     // True if proven optimal.
   bool feasible = false;    // True if objective < inf.
   int64_t nodes_explored = 0;
-  std::string method;       // "dp-forest", "elimination", "branch-and-bound",
-                            // "portfolio", "beam"; "(budget)" suffix on aborts.
+  std::string method;       // "empty", "presolve" (infeasible), "dp-forest",
+                            // "elimination", "portfolio"; "(budget)" suffix
+                            // on aborts.
   // Proven lower bound on the optimal objective (anytime contract):
   // equals `objective` when optimal; on a budget abort it comes from the
-  // branch & bound's unexplored-subtree bounds (or a static matrix-minima
-  // bound for the legacy engine). Always <= objective when feasible.
+  // branch & bound's unexplored-subtree bounds. Always <= objective when
+  // feasible.
   double lower_bound = 0.0;
   // Relative optimality gap, (objective - lower_bound) / objective.
   // 0 when proven optimal or when the solution is infeasible.
   double optimality_gap() const;
 };
 
-enum class IlpEngine {
-  kStaged,     // Presolve + component DP folding + flat branch & bound.
-  kLegacy,     // Pre-overhaul single-stage solver, kept for cross-checks.
-  kPortfolio,  // Staged pipeline, but residual cores that reach the branch
-               // & bound first run GRASP + simulated annealing on a
-               // deterministic budget slice and hand the search their best
-               // incumbent as a shared bound (src/solver/portfolio). Exact
-               // results are identical to kStaged; budget aborts return
-               // the portfolio's best incumbent plus a proven gap.
-};
-
 struct IlpSolverOptions {
-  // Candidate assignments used as branch & bound incumbents (after an ICM
-  // polish). The intra-op pass seeds these with the optima of restricted
-  // plan families (data parallel, ZeRO, tensor parallel), guaranteeing the
-  // unrestricted solution never loses to them even when the search budget
-  // runs out.
-  std::vector<std::vector<int>> seeds;
-  // Branch & bound search-node budget before falling back to the incumbent.
-  // Large flat-cost plateaus (many zero-communication ties) can exhaust
-  // this on big stage graphs; the incumbent floor then applies and the
-  // solution is marked non-optimal.
+  // Search-node budget of the portfolio on residual cores. Large flat-cost
+  // plateaus (many zero-communication ties) can exhaust this on big stage
+  // graphs; the solve then returns its best incumbent, marked non-optimal,
+  // with a proven lower bound.
   int64_t max_search_nodes = 300'000;
-  // Beam width for the legacy engine's fallback polish.
-  int beam_width = 64;
-  // Which solver core to run. kPortfolio is the default (it only differs
-  // from kStaged on budget-constrained cores, where the metaheuristic
-  // incumbent bound prunes the search); kLegacy exists for the randomized
-  // cross-check suite and A/B benchmarking.
-  IlpEngine engine = IlpEngine::kPortfolio;
-  // Optional pool for root-level parallel branching in the staged engine.
-  // Plans are bit-identical with or without it (per-branch budget slices
-  // and a deterministic reduce); null means serial.
+  // Optional pool for root-level parallel branching and the portfolio's
+  // metaheuristic rounds. Plans are bit-identical with or without it
+  // (per-branch budget slices and a deterministic reduce); null means
+  // serial.
   ThreadPool* pool = nullptr;
-  // Staged engine: residual cores are solved by exact variable elimination
-  // when every elimination table fits under this many cells (the cap bounds
-  // both time and memory at ~k^(width+1)); larger-width cores fall back to
-  // branch & bound. 0 disables elimination entirely (tests use this to
-  // force the branch & bound path).
+  // Residual cores are solved by exact variable elimination when every
+  // elimination table fits under this many cells (the cap bounds both time
+  // and memory at ~k^(width+1)); larger-width cores fall back to the search
+  // portfolio. 0 disables elimination entirely (tests use this to force the
+  // search path).
   int64_t max_elimination_table = int64_t{1} << 16;
-  // Staged engine: memoize core solves process-wide on the presolved
-  // problem's fingerprint (plus budget and projected seeds). Cleared by
+  // Memoize core solves process-wide on the presolved problem's
+  // fingerprint (plus the budget and elimination cap). Cleared by
   // IlpMemoCache::Clear() alongside the full-solve cache.
   bool use_core_memo = true;
 };
@@ -137,11 +113,6 @@ class IlpSolver {
  private:
   IlpSolverOptions options_;
 };
-
-// The pre-overhaul solver (forest DP / suffix-bound B&B / beam fallback).
-// Exposed for the cross-check tests and bench/compile_speed A/B runs; use
-// IlpSolver with IlpEngine::kLegacy from production code paths.
-IlpSolution SolveIlpLegacy(const IlpProblem& problem, const IlpSolverOptions& options);
 
 // Drops every memoized core solution (see IlpSolverOptions::use_core_memo).
 void ClearIlpCoreMemo();

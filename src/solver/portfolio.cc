@@ -31,10 +31,16 @@ struct SharedIncumbent {
 
 // Cores below these sizes solve in microseconds; skipping the
 // metaheuristics keeps the portfolio's overhead at exactly zero there.
-// Both gates are functions of (core, budget) only, so engine selection is
-// deterministic.
+// Both gates are functions of (core, budget) only, so the rounds that run
+// are deterministic.
 constexpr int kMinNodesForMeta = 6;
 constexpr int64_t kMinBudgetForMeta = 4096;
+
+// Metaheuristic sizing caps; the actual allocation shrinks with the budget
+// so tiny solves stay metaheuristic-free.
+constexpr int kMaxGraspRestarts = 24;
+constexpr int kSaChains = 4;
+constexpr int64_t kMaxSaStepsPerChain = 30'000;
 
 // The metaheuristics are denominated in arena lookups; the branch & bound
 // budget is denominated in node expansions. One expansion conditions every
@@ -65,17 +71,16 @@ BudgetPlan PlanBudget(const FlatCore& f, const PortfolioOptions& options) {
   const int64_t restart_nodes = std::max<int64_t>(1, 3 * weighted_choices / lookups_per_node);
   const int64_t grasp_alloc = options.budget / 16;
   plan.grasp_restarts = static_cast<int>(std::clamp<int64_t>(
-      grasp_alloc / restart_nodes, 0, options.max_grasp_restarts));
+      grasp_alloc / restart_nodes, 0, kMaxGraspRestarts));
   if (plan.grasp_restarts < 2) plan.grasp_restarts = 0;  // Not worth a round.
   plan.meta_node_charge += plan.grasp_restarts * restart_nodes;
 
-  const int chains = std::max(1, options.sa_chains);
   const int64_t sa_alloc_lookups = (options.budget / 16) * lookups_per_node;
   plan.sa_steps_per_chain = std::clamp<int64_t>(
-      sa_alloc_lookups / (chains * avg_step_lookups), 0, options.max_sa_steps_per_chain);
+      sa_alloc_lookups / (kSaChains * avg_step_lookups), 0, kMaxSaStepsPerChain);
   if (plan.sa_steps_per_chain < 512) plan.sa_steps_per_chain = 0;
   plan.meta_node_charge +=
-      plan.sa_steps_per_chain * chains * avg_step_lookups / lookups_per_node;
+      plan.sa_steps_per_chain * kSaChains * avg_step_lookups / lookups_per_node;
   return plan;
 }
 
@@ -114,11 +119,10 @@ PortfolioResult SolvePortfolio(const IlpProblem& core, const PortfolioOptions& o
   if (plan.grasp_restarts == 0 && plan.sa_steps_per_chain == 0) {
     // Trivial or starved core: no metaheuristic round is worth its charge,
     // so the portfolio degenerates to the plain exact search with zero
-    // overhead (bit-identical to the staged engine here).
+    // overhead.
     FlatSearchOptions fopt;
     fopt.budget = std::max<int64_t>(1, options.budget);
     fopt.pool = options.pool;
-    fopt.incumbents = options.incumbents;
     const FlatSearchResult search = SolveCoreOnFlat(f, fopt);
     result.choice = search.choice;
     result.objective = search.objective;
@@ -134,15 +138,12 @@ PortfolioResult SolvePortfolio(const IlpProblem& core, const PortfolioOptions& o
   }
 
   // Round 1 — the exact probe: branch & bound under the full budget minus
-  // the metaheuristic reserve. Caller seeds ride along unpolished: the
-  // search polishes them and floors on them itself, so the portfolio can
-  // never lose to a provided plan. No round-0 seeding happens before the
-  // probe — the search already builds the same ICM-polished argmin start
+  // the metaheuristic reserve. No round-0 seeding happens before the probe
+  // — the search already builds the same ICM-polished argmin start
   // internally, and recomputing it here would double-pay on every race.
   FlatSearchOptions fopt;
   fopt.budget = std::max<int64_t>(1, options.budget - plan.meta_node_charge);
   fopt.pool = options.pool;
-  fopt.incumbents = options.incumbents;
   const FlatSearchResult search = SolveCoreOnFlat(f, fopt);
 
   result.explored = search.explored;
@@ -153,8 +154,7 @@ PortfolioResult SolvePortfolio(const IlpProblem& core, const PortfolioOptions& o
 
   if (!search.aborted) {
     // The probe proved optimality — the reserve is never spent, and the
-    // portfolio costs nothing over the plain exact search here. kBnb also
-    // covers the case where the search merely confirmed a seed was optimal.
+    // portfolio costs nothing over the plain exact search here.
     result.choice = search.choice;
     result.objective = search.objective;
     result.feasible = search.feasible;
@@ -165,25 +165,13 @@ PortfolioResult SolvePortfolio(const IlpProblem& core, const PortfolioOptions& o
 
   // The probe exhausted its share with an open gap: spend the reserve on
   // the metaheuristics. Round 0 happens lazily here — the ICM-polished
-  // argmin start and every valid caller seed reduce into the shared
-  // incumbent as the metaheuristic baseline, then the aborted search's own
-  // best joins them: the exact side hands the metaheuristics its incumbent,
-  // just as they hand theirs back through the final reduce.
+  // argmin start reduces into the shared incumbent as the metaheuristic
+  // baseline, then the aborted search's own best joins it: the exact side
+  // hands the metaheuristics its incumbent, just as they hand theirs back
+  // through the final reduce.
   SharedIncumbent incumbent;
-  {
-    std::vector<int> base = FlatIcm(f, ArgminStart(f));
-    incumbent.Offer(base, FlatValue(f, base));
-    for (const std::vector<int>& seed : options.incumbents) {
-      if (static_cast<int>(seed.size()) != f.n) continue;
-      bool ok = true;
-      for (int v = 0; v < f.n && ok; ++v) {
-        ok = seed[static_cast<size_t>(v)] >= 0 && seed[static_cast<size_t>(v)] < f.K(v);
-      }
-      if (!ok) continue;
-      std::vector<int> polished = FlatIcm(f, seed);
-      incumbent.Offer(polished, FlatValue(f, polished));
-    }
-  }
+  const std::vector<int> base = FlatIcm(f, ArgminStart(f));
+  incumbent.Offer(base, FlatValue(f, base));
   const double seed_value = incumbent.value;
 
   if (search.feasible && incumbent.Offer(search.choice, search.objective)) {
@@ -207,7 +195,7 @@ PortfolioResult SolvePortfolio(const IlpProblem& core, const PortfolioOptions& o
   // Round 3 — simulated annealing, seeded from the shared incumbent.
   if (plan.sa_steps_per_chain > 0) {
     AnnealOptions aopt;
-    aopt.chains = std::max(1, options.sa_chains);
+    aopt.chains = kSaChains;
     aopt.steps_per_chain = plan.sa_steps_per_chain;
     aopt.pool = options.pool;
     const AnnealResult sa = RunAnneal(f, incumbent.choice, aopt);

@@ -10,13 +10,13 @@
 // never spent and the portfolio costs exactly one extra ICM polish:
 //
 //   round 1  FLAT B&B  the exact search under (budget - reserve). It
-//                      self-seeds with the ICM-polished argmin start and
-//                      the polished caller seeds; if it proves optimality,
-//                      the race is over and the remaining rounds never run.
+//                      self-seeds with the ICM-polished argmin start; if
+//                      it proves optimality, the race is over and the
+//                      remaining rounds never run.
 //   round 0  SEED      (probe aborted; lazy) the same ICM-polished argmin
-//                      start + polished caller seeds reduce into the
-//                      shared incumbent as the metaheuristic baseline,
-//                      followed by the aborted search's own best;
+//                      start reduces into the shared incumbent as the
+//                      metaheuristic baseline, followed by the aborted
+//                      search's own best;
 //   round 2  GRASP     randomized greedy constructions + ICM polish,
 //                      restarts fanned out over the pool;
 //   round 3  ANNEAL    simulated annealing chains seeded from the shared
@@ -58,21 +58,11 @@ struct PortfolioOptions {
   // Optional pool; every round fans out over it. Results are identical
   // with or without it.
   ThreadPool* pool = nullptr;
-  // Caller-provided assignments (core-compact, full length). They join the
-  // shared incumbent reduce after an ICM polish and are also handed to the
-  // branch & bound, so the portfolio can never lose to a provided plan.
-  std::vector<std::vector<int>> incumbents;
-  // Metaheuristic sizing knobs (upper caps; the actual allocation shrinks
-  // with the budget so tiny solves stay metaheuristic-free).
-  int max_grasp_restarts = 24;
-  int sa_chains = 4;
-  int64_t max_sa_steps_per_chain = 30'000;
 };
 
-// Which engine produced the final incumbent value (the winner of the
-// race). kBnb also covers the case where the search merely confirmed the
-// metaheuristic incumbent was optimal but found nothing better — the
-// winner is whoever's value stands at the end.
+// Which round produced the final incumbent value (the winner of the
+// race). kSeed is the ICM-polished argmin start; the winner is whoever's
+// value stands at the end.
 enum class PortfolioWinner { kSeed, kGrasp, kAnneal, kBnb };
 
 struct PortfolioResult {

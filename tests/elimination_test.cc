@@ -6,63 +6,10 @@
 #include <vector>
 
 #include "src/support/rng.h"
+#include "tests/ilp_oracle.h"
 
 namespace alpa {
 namespace {
-
-double BruteForce(const IlpProblem& problem) {
-  std::vector<int> choice(static_cast<size_t>(problem.num_nodes()), 0);
-  double best = kInfCost;
-  while (true) {
-    best = std::min(best, problem.Evaluate(choice));
-    int i = 0;
-    while (i < problem.num_nodes()) {
-      if (++choice[static_cast<size_t>(i)] < problem.num_choices(i)) {
-        break;
-      }
-      choice[static_cast<size_t>(i)] = 0;
-      ++i;
-    }
-    if (i == problem.num_nodes()) {
-      break;
-    }
-  }
-  return best;
-}
-
-IlpProblem RandomProblem(Rng& rng, int nodes, int max_choices, double edge_prob,
-                         bool allow_inf = false) {
-  IlpProblem problem;
-  problem.node_costs.resize(static_cast<size_t>(nodes));
-  for (int v = 0; v < nodes; ++v) {
-    const int k = 1 + static_cast<int>(rng.NextBounded(static_cast<uint64_t>(max_choices)));
-    for (int i = 0; i < k; ++i) {
-      problem.node_costs[static_cast<size_t>(v)].push_back(rng.NextDouble(0, 10));
-    }
-  }
-  for (int u = 0; u < nodes; ++u) {
-    for (int v = u + 1; v < nodes; ++v) {
-      if (rng.NextDouble() > edge_prob) {
-        continue;
-      }
-      IlpProblem::Edge edge;
-      edge.u = u;
-      edge.v = v;
-      edge.cost.resize(problem.node_costs[static_cast<size_t>(u)].size());
-      for (auto& row : edge.cost) {
-        for (size_t j = 0; j < problem.node_costs[static_cast<size_t>(v)].size(); ++j) {
-          double c = rng.NextDouble(0, 5);
-          if (allow_inf && rng.NextDouble() < 0.1) {
-            c = kInfCost;
-          }
-          row.push_back(c);
-        }
-      }
-      problem.edges.push_back(std::move(edge));
-    }
-  }
-  return problem;
-}
 
 TEST(Elimination, EmptyProblem) {
   IlpProblem problem;
@@ -123,7 +70,7 @@ TEST(Elimination, MatchesBruteForceWithInfeasibleEntries) {
   Rng rng(31);
   for (int trial = 0; trial < 80; ++trial) {
     const int nodes = 2 + static_cast<int>(rng.NextBounded(6));
-    const IlpProblem problem = RandomProblem(rng, nodes, 3, 0.7, /*allow_inf=*/true);
+    const IlpProblem problem = RandomProblem(rng, nodes, 3, 0.7, /*inf_prob=*/0.1);
     const auto choice = SolveByElimination(problem, 1 << 20);
     ASSERT_TRUE(choice.has_value()) << trial;
     const double brute = BruteForce(problem);

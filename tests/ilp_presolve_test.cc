@@ -7,35 +7,10 @@
 
 #include "src/solver/ilp_solver.h"
 #include "src/support/rng.h"
+#include "tests/ilp_oracle.h"
 
 namespace alpa {
 namespace {
-
-double BruteForce(const IlpProblem& problem, std::vector<int>* best_choice = nullptr) {
-  std::vector<int> choice(static_cast<size_t>(problem.num_nodes()), 0);
-  double best = kInfCost;
-  while (true) {
-    const double value = problem.Evaluate(choice);
-    if (value < best) {
-      best = value;
-      if (best_choice != nullptr) {
-        *best_choice = choice;
-      }
-    }
-    int i = 0;
-    while (i < problem.num_nodes()) {
-      if (++choice[static_cast<size_t>(i)] < problem.num_choices(i)) {
-        break;
-      }
-      choice[static_cast<size_t>(i)] = 0;
-      ++i;
-    }
-    if (i == problem.num_nodes()) {
-      break;
-    }
-  }
-  return best;
-}
 
 IlpProblem::Edge RandomEdge(Rng& rng, const IlpProblem& problem, int u, int v) {
   IlpProblem::Edge edge;
@@ -48,18 +23,6 @@ IlpProblem::Edge RandomEdge(Rng& rng, const IlpProblem& problem, int u, int v) {
     }
   }
   return edge;
-}
-
-IlpProblem RandomNodes(Rng& rng, int nodes, int max_choices) {
-  IlpProblem problem;
-  problem.node_costs.resize(static_cast<size_t>(nodes));
-  for (int v = 0; v < nodes; ++v) {
-    const int k = 1 + static_cast<int>(rng.NextBounded(static_cast<uint64_t>(max_choices)));
-    for (int i = 0; i < k; ++i) {
-      problem.node_costs[static_cast<size_t>(v)].push_back(rng.NextDouble(0, 10));
-    }
-  }
-  return problem;
 }
 
 // End-to-end exactness harness: presolve, brute-force the residual core,

@@ -7,70 +7,10 @@
 #include "src/solver/ilp_solver.h"
 #include "src/support/rng.h"
 #include "src/support/thread_pool.h"
+#include "tests/ilp_oracle.h"
 
 namespace alpa {
 namespace {
-
-// Exhaustive brute force for small problems.
-double BruteForce(const IlpProblem& problem, std::vector<int>* best_choice = nullptr) {
-  std::vector<int> choice(static_cast<size_t>(problem.num_nodes()), 0);
-  double best = kInfCost;
-  while (true) {
-    const double value = problem.Evaluate(choice);
-    if (value < best) {
-      best = value;
-      if (best_choice != nullptr) {
-        *best_choice = choice;
-      }
-    }
-    int i = 0;
-    while (i < problem.num_nodes()) {
-      if (++choice[static_cast<size_t>(i)] < problem.num_choices(i)) {
-        break;
-      }
-      choice[static_cast<size_t>(i)] = 0;
-      ++i;
-    }
-    if (i == problem.num_nodes()) {
-      break;
-    }
-  }
-  return best;
-}
-
-IlpProblem RandomProblem(Rng& rng, int nodes, int max_choices, double edge_prob,
-                         bool allow_inf = false) {
-  IlpProblem problem;
-  problem.node_costs.resize(static_cast<size_t>(nodes));
-  for (int v = 0; v < nodes; ++v) {
-    const int k = 1 + static_cast<int>(rng.NextBounded(static_cast<uint64_t>(max_choices)));
-    for (int i = 0; i < k; ++i) {
-      problem.node_costs[static_cast<size_t>(v)].push_back(rng.NextDouble(0, 10));
-    }
-  }
-  for (int u = 0; u < nodes; ++u) {
-    for (int v = u + 1; v < nodes; ++v) {
-      if (rng.NextDouble() > edge_prob) {
-        continue;
-      }
-      IlpProblem::Edge edge;
-      edge.u = u;
-      edge.v = v;
-      edge.cost.resize(problem.node_costs[static_cast<size_t>(u)].size());
-      for (auto& row : edge.cost) {
-        for (size_t j = 0; j < problem.node_costs[static_cast<size_t>(v)].size(); ++j) {
-          double c = rng.NextDouble(0, 5);
-          if (allow_inf && rng.NextDouble() < 0.1) {
-            c = kInfCost;
-          }
-          row.push_back(c);
-        }
-      }
-      problem.edges.push_back(std::move(edge));
-    }
-  }
-  return problem;
-}
 
 TEST(IlpSolver, EmptyProblem) {
   IlpProblem problem;
@@ -144,13 +84,13 @@ IlpProblem FrustratedClique(int n) {
 
 TEST(IlpSolver, CliqueUsesBranchAndBound) {
   // K4 has treewidth 3: degree-2 series reduction cannot touch it, so with
-  // elimination disabled the residual core reaches branch & bound.
+  // elimination disabled the residual core reaches the search portfolio,
+  // which runs the plain branch & bound on a core this small.
   const IlpProblem problem = FrustratedClique(4);
   IlpSolverOptions options;
-  options.engine = IlpEngine::kStaged;  // Pin: the default engine reports "portfolio".
   options.max_elimination_table = 0;
   const IlpSolution solution = IlpSolver(options).Solve(problem);
-  EXPECT_EQ(solution.method, "branch-and-bound");
+  EXPECT_EQ(solution.method, "portfolio");
   EXPECT_TRUE(solution.optimal);
   EXPECT_DOUBLE_EQ(solution.objective, BruteForce(problem));
 }
@@ -233,7 +173,7 @@ TEST(IlpSolver, MatchesBruteForceWithInfeasibleEntries) {
   Rng rng(7);
   for (int trial = 0; trial < 60; ++trial) {
     const int nodes = 2 + static_cast<int>(rng.NextBounded(6));
-    const IlpProblem problem = RandomProblem(rng, nodes, 3, 0.6, /*allow_inf=*/true);
+    const IlpProblem problem = RandomProblem(rng, nodes, 3, 0.6, /*inf_prob=*/0.1);
     const IlpSolution solution = IlpSolver().Solve(problem);
     const double brute = BruteForce(problem);
     if (std::isinf(brute)) {

@@ -105,21 +105,6 @@ TEST(IntraCost, ForcedChoiceEvaluatesWithoutSolving) {
   }
 }
 
-TEST(IntraCost, SeedingNeverHurts) {
-  const ClusterSpec cluster = ClusterSpec::AwsP3(1, 8);
-  Graph graph = BuildGpt(SmallGpt());
-  IntraOpOptions seeded;
-  seeded.num_microbatches = 1;
-  IntraOpOptions unseeded = seeded;
-  unseeded.seed_with_plan_families = false;
-  const IntraOpResult with = SolveIntraOp(graph, Mesh(cluster, 1, 8), seeded);
-  const IntraOpResult without = SolveIntraOp(graph, Mesh(cluster, 1, 8), unseeded);
-  ASSERT_TRUE(with.feasible);
-  ASSERT_TRUE(without.feasible);
-  EXPECT_LE(with.t_intra + with.t_per_iteration,
-            without.t_intra + without.t_per_iteration + 1e-9);
-}
-
 TEST(IntraCost, OpComputeTimeRoofline) {
   DeviceSpec device;
   Operator matmul;

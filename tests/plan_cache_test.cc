@@ -120,10 +120,6 @@ TEST_F(PlanCacheTest, ClosuresAreUncacheable) {
   ParallelizeOptions forced = FinalizedOptions();
   forced.inter.profiler.intra.forced_choice = {0, 0, 0};
   EXPECT_FALSE(ComputePlanCacheKey(graph, cluster, forced, &key));
-
-  ParallelizeOptions seeded = FinalizedOptions();
-  seeded.inter.profiler.intra.solver.seeds = {{0, 0}};
-  EXPECT_FALSE(ComputePlanCacheKey(graph, cluster, seeded, &key));
 }
 
 // The regression this PR's bugfix satellite exists for: before the

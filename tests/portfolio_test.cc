@@ -18,59 +18,10 @@
 #include "src/solver/portfolio.h"
 #include "src/support/rng.h"
 #include "src/support/thread_pool.h"
+#include "tests/ilp_oracle.h"
 
 namespace alpa {
 namespace {
-
-// Exhaustive brute force for small problems.
-double BruteForce(const IlpProblem& problem) {
-  std::vector<int> choice(static_cast<size_t>(problem.num_nodes()), 0);
-  double best = kInfCost;
-  while (true) {
-    best = std::min(best, problem.Evaluate(choice));
-    int i = 0;
-    while (i < problem.num_nodes()) {
-      if (++choice[static_cast<size_t>(i)] < problem.num_choices(i)) {
-        break;
-      }
-      choice[static_cast<size_t>(i)] = 0;
-      ++i;
-    }
-    if (i == problem.num_nodes()) {
-      break;
-    }
-  }
-  return best;
-}
-
-IlpProblem RandomProblem(Rng& rng, int nodes, int max_choices, double edge_prob) {
-  IlpProblem problem;
-  problem.node_costs.resize(static_cast<size_t>(nodes));
-  for (int v = 0; v < nodes; ++v) {
-    const int k = 1 + static_cast<int>(rng.NextBounded(static_cast<uint64_t>(max_choices)));
-    for (int i = 0; i < k; ++i) {
-      problem.node_costs[static_cast<size_t>(v)].push_back(rng.NextDouble(0, 10));
-    }
-  }
-  for (int u = 0; u < nodes; ++u) {
-    for (int v = u + 1; v < nodes; ++v) {
-      if (rng.NextDouble() > edge_prob) {
-        continue;
-      }
-      IlpProblem::Edge edge;
-      edge.u = u;
-      edge.v = v;
-      edge.cost.resize(problem.node_costs[static_cast<size_t>(u)].size());
-      for (auto& row : edge.cost) {
-        for (size_t j = 0; j < problem.node_costs[static_cast<size_t>(v)].size(); ++j) {
-          row.push_back(rng.NextDouble(0, 5));
-        }
-      }
-      problem.edges.push_back(std::move(edge));
-    }
-  }
-  return problem;
-}
 
 // The abort-prone instance from the flat branch & bound's budget
 // redistribution tests: dense enough that tight budgets genuinely bind.
@@ -130,7 +81,6 @@ TEST(Portfolio, MatchesBruteForceOnSmallRandomInstances) {
     Rng rng(seed);
     const IlpProblem problem = RandomProblem(rng, 8, 3, 0.5);
     IlpSolverOptions options;
-    options.engine = IlpEngine::kPortfolio;
     options.max_elimination_table = 0;  // Force the search path.
     options.use_core_memo = false;
     const IlpSolution solution = IlpSolver(options).Solve(problem);
@@ -205,7 +155,6 @@ TEST(Portfolio, AbortReturnsIncumbentAndGap) {
   const IlpProblem problem = AbortProneProblem();
 
   IlpSolverOptions unbounded;
-  unbounded.engine = IlpEngine::kStaged;
   unbounded.max_elimination_table = 0;
   unbounded.use_core_memo = false;
   unbounded.max_search_nodes = 100'000'000;
@@ -213,7 +162,6 @@ TEST(Portfolio, AbortReturnsIncumbentAndGap) {
   ASSERT_TRUE(full.optimal);
 
   IlpSolverOptions starved;
-  starved.engine = IlpEngine::kPortfolio;
   starved.max_elimination_table = 0;
   starved.use_core_memo = false;
   starved.max_search_nodes = full.nodes_explored / 8;
@@ -234,29 +182,9 @@ TEST(Portfolio, AbortReturnsIncumbentAndGap) {
   }
 }
 
-// A portfolio solve under the default engine must agree with the staged
-// engine wherever both prove optimality.
-TEST(Portfolio, AgreesWithStagedWhenBothOptimal) {
-  for (uint64_t seed = 20; seed <= 26; ++seed) {
-    Rng rng(seed);
-    const IlpProblem problem = RandomProblem(rng, 12, 4, 0.4);
-    IlpSolverOptions options;
-    options.max_elimination_table = 0;
-    options.use_core_memo = false;
-    options.engine = IlpEngine::kStaged;
-    const IlpSolution staged = IlpSolver(options).Solve(problem);
-    options.engine = IlpEngine::kPortfolio;
-    const IlpSolution portfolio = IlpSolver(options).Solve(problem);
-    ASSERT_EQ(staged.optimal, portfolio.optimal) << "seed " << seed;
-    if (staged.optimal) {
-      EXPECT_DOUBLE_EQ(staged.objective, portfolio.objective) << "seed " << seed;
-    }
-  }
-}
-
-// Compile-level determinism under the default (portfolio) engine with a
-// starved budget, so the metaheuristic rounds genuinely run: 1 and 4
-// compile threads must produce PlanEquals-identical plans.
+// Compile-level determinism with a starved budget, so the metaheuristic
+// rounds genuinely run: 1 and 4 compile threads must produce
+// PlanEquals-identical plans.
 TEST(Portfolio, CompiledPlanIdenticalAcrossThreadCounts) {
   GptConfig config;
   config.hidden = 128;
@@ -269,7 +197,6 @@ TEST(Portfolio, CompiledPlanIdenticalAcrossThreadCounts) {
   InterOpOptions options;
   options.num_microbatches = 4;
   options.target_layers = 2;
-  options.profiler.intra.solver.engine = IlpEngine::kPortfolio;
   options.profiler.intra.solver.max_search_nodes = 5'000;
 
   IlpMemoCache::Global().Clear();

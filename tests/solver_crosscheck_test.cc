@@ -1,11 +1,10 @@
-// Randomized cross-check of the staged solver pipeline (presolve + DP
-// folding + variable elimination + flat branch & bound) against the
-// pre-overhaul solver kept behind IlpEngine::kLegacy. Both engines are
-// exact, so on every problem where neither aborts, objectives must agree
-// to rounding — and with continuous random costs the optimum is unique,
-// so the full choice vectors must be bit-identical too. The staged engine
-// must additionally be invariant to the thread pool and to its
-// process-wide core memo.
+// Randomized cross-check of the solver pipeline (presolve + variable
+// elimination + the search portfolio) against the brute-force oracle
+// (tests/ilp_oracle.h). The oracle is exact on every instance, so every
+// proven-optimal solve must match its objective to rounding — and with
+// continuous random costs the optimum is unique, so the full choice
+// vectors must be bit-identical too. The solver must additionally be
+// invariant to the thread pool and to its process-wide core memo.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,48 +13,14 @@
 #include "src/solver/ilp_solver.h"
 #include "src/support/rng.h"
 #include "src/support/thread_pool.h"
+#include "tests/ilp_oracle.h"
 
 namespace alpa {
 namespace {
 
-IlpProblem RandomProblem(Rng& rng, int nodes, int max_choices, double edge_prob,
-                         double inf_prob) {
-  IlpProblem problem;
-  problem.node_costs.resize(static_cast<size_t>(nodes));
-  for (int v = 0; v < nodes; ++v) {
-    const int k = 1 + static_cast<int>(rng.NextBounded(static_cast<uint64_t>(max_choices)));
-    for (int i = 0; i < k; ++i) {
-      problem.node_costs[static_cast<size_t>(v)].push_back(rng.NextDouble(0, 10));
-    }
-  }
-  for (int u = 0; u < nodes; ++u) {
-    for (int v = u + 1; v < nodes; ++v) {
-      if (rng.NextDouble() > edge_prob) {
-        continue;
-      }
-      IlpProblem::Edge edge;
-      edge.u = u;
-      edge.v = v;
-      edge.cost.resize(problem.node_costs[static_cast<size_t>(u)].size());
-      for (auto& row : edge.cost) {
-        for (size_t j = 0; j < problem.node_costs[static_cast<size_t>(v)].size(); ++j) {
-          double c = rng.NextDouble(0, 5);
-          if (inf_prob > 0 && rng.NextDouble() < inf_prob) {
-            c = kInfCost;
-          }
-          row.push_back(c);
-        }
-      }
-      problem.edges.push_back(std::move(edge));
-    }
-  }
-  return problem;
-}
-
-IlpSolution SolveWith(const IlpProblem& problem, IlpEngine engine,
-                      ThreadPool* pool = nullptr, bool use_memo = false) {
+IlpSolution SolveWith(const IlpProblem& problem, ThreadPool* pool = nullptr,
+                      bool use_memo = false) {
   IlpSolverOptions options;
-  options.engine = engine;
   options.pool = pool;
   options.use_core_memo = use_memo;
   return IlpSolver(options).Solve(problem);
@@ -70,15 +35,14 @@ TEST(SolverCrossCheck, StagedMatchesLegacyOnRandomProblems) {
     const double inf_prob = trial % 4 == 0 ? 0.1 : 0.0;
     const IlpProblem problem =
         RandomProblem(rng, nodes, 4, edge_prob, inf_prob);
-    const IlpSolution staged = SolveWith(problem, IlpEngine::kStaged);
-    const IlpSolution legacy = SolveWith(problem, IlpEngine::kLegacy);
-    ASSERT_TRUE(legacy.optimal || !legacy.feasible) << trial;
-    ASSERT_TRUE(staged.optimal || !staged.feasible) << trial;
-    EXPECT_EQ(staged.feasible, legacy.feasible) << trial;
-    if (staged.feasible && legacy.feasible) {
-      EXPECT_NEAR(staged.objective, legacy.objective, 1e-9) << "trial " << trial;
+    const IlpSolution solution = SolveWith(problem);
+    const double brute = BruteForce(problem);
+    ASSERT_TRUE(solution.optimal || !solution.feasible) << trial;
+    EXPECT_EQ(solution.feasible, std::isfinite(brute)) << trial;
+    if (solution.feasible) {
+      EXPECT_NEAR(solution.objective, brute, 1e-9) << "trial " << trial;
       // The returned assignment must actually produce the objective.
-      EXPECT_NEAR(staged.objective, problem.Evaluate(staged.choice), 1e-9) << trial;
+      EXPECT_NEAR(solution.objective, problem.Evaluate(solution.choice), 1e-9) << trial;
       ++solved;
     }
   }
@@ -90,33 +54,36 @@ TEST(SolverCrossCheck, StagedMatchesLegacyOnDenserGraphs) {
   for (int trial = 0; trial < 40; ++trial) {
     const int nodes = 8 + static_cast<int>(rng.NextBounded(6));
     const IlpProblem problem = RandomProblem(rng, nodes, 3, 0.35, 0.0);
-    const IlpSolution staged = SolveWith(problem, IlpEngine::kStaged);
-    const IlpSolution legacy = SolveWith(problem, IlpEngine::kLegacy);
-    if (staged.optimal && legacy.optimal) {
-      EXPECT_NEAR(staged.objective, legacy.objective, 1e-9) << "trial " << trial;
+    const IlpSolution solution = SolveWith(problem);
+    const double brute = BruteForce(problem);
+    if (solution.optimal) {
+      EXPECT_NEAR(solution.objective, brute, 1e-9) << "trial " << trial;
     } else {
-      // Aborted searches still return valid assignments.
-      EXPECT_NEAR(staged.objective, problem.Evaluate(staged.choice), 1e-9) << trial;
+      // Aborted searches still return valid assignments, never below the
+      // optimum.
+      EXPECT_NEAR(solution.objective, problem.Evaluate(solution.choice), 1e-9) << trial;
+      EXPECT_GE(solution.objective, brute - 1e-9) << trial;
     }
   }
 }
 
 TEST(SolverCrossCheck, OptimalPlansAreBitIdentical) {
   // Continuous random costs make the optimum unique (ties have measure
-  // zero), so whenever both engines prove optimality the full choice
-  // vectors — the plans at this layer — must agree exactly, not just the
-  // objectives. This is the plan-identity leg of the acceptance check;
-  // budget-aborted incumbents are excluded because they are engine-specific.
+  // zero), so whenever the solver proves optimality its full choice
+  // vector — the plan at this layer — must equal the oracle's argmin
+  // exactly, not just the objective. Budget-aborted incumbents are
+  // excluded: they carry no optimality proof.
   Rng rng(4242);
   int compared = 0;
   for (int trial = 0; trial < 200; ++trial) {
     const int nodes = 2 + static_cast<int>(rng.NextBounded(10));
     const double edge_prob = rng.NextDouble(0.1, 0.7);
     const IlpProblem problem = RandomProblem(rng, nodes, 4, edge_prob, 0.0);
-    const IlpSolution staged = SolveWith(problem, IlpEngine::kStaged);
-    const IlpSolution legacy = SolveWith(problem, IlpEngine::kLegacy);
-    if (staged.optimal && legacy.optimal) {
-      EXPECT_EQ(staged.choice, legacy.choice) << "trial " << trial;
+    const IlpSolution solution = SolveWith(problem);
+    std::vector<int> argmin;
+    BruteForce(problem, &argmin);
+    if (solution.optimal) {
+      EXPECT_EQ(solution.choice, argmin) << "trial " << trial;
       ++compared;
     }
   }
@@ -129,8 +96,8 @@ TEST(SolverCrossCheck, PoolDoesNotChangeTheSolution) {
   for (int trial = 0; trial < 40; ++trial) {
     const int nodes = 4 + static_cast<int>(rng.NextBounded(8));
     const IlpProblem problem = RandomProblem(rng, nodes, 4, 0.5, trial % 3 == 0 ? 0.1 : 0.0);
-    const IlpSolution serial = SolveWith(problem, IlpEngine::kStaged, nullptr);
-    const IlpSolution parallel = SolveWith(problem, IlpEngine::kStaged, &pool);
+    const IlpSolution serial = SolveWith(problem, nullptr);
+    const IlpSolution parallel = SolveWith(problem, &pool);
     ASSERT_EQ(serial.choice, parallel.choice) << "trial " << trial;
     EXPECT_EQ(serial.objective, parallel.objective) << trial;  // Bitwise.
     EXPECT_EQ(serial.optimal, parallel.optimal) << trial;
@@ -144,36 +111,15 @@ TEST(SolverCrossCheck, CoreMemoHitReturnsIdenticalSolution) {
   for (int trial = 0; trial < 20; ++trial) {
     const int nodes = 5 + static_cast<int>(rng.NextBounded(6));
     const IlpProblem problem = RandomProblem(rng, nodes, 4, 0.5, 0.0);
-    const IlpSolution without = SolveWith(problem, IlpEngine::kStaged, nullptr, false);
-    const IlpSolution miss = SolveWith(problem, IlpEngine::kStaged, nullptr, true);
-    const IlpSolution hit = SolveWith(problem, IlpEngine::kStaged, nullptr, true);
+    const IlpSolution without = SolveWith(problem, nullptr, false);
+    const IlpSolution miss = SolveWith(problem, nullptr, true);
+    const IlpSolution hit = SolveWith(problem, nullptr, true);
     EXPECT_EQ(without.choice, miss.choice) << trial;
     EXPECT_EQ(miss.choice, hit.choice) << trial;
     EXPECT_EQ(miss.objective, hit.objective) << trial;
     EXPECT_EQ(miss.nodes_explored, hit.nodes_explored) << trial;
   }
   ClearIlpCoreMemo();
-}
-
-TEST(SolverCrossCheck, SeedFloorHoldsUnderTinyBudget) {
-  Rng rng(31337);
-  for (int trial = 0; trial < 20; ++trial) {
-    const IlpProblem problem = RandomProblem(rng, 12, 4, 0.5, 0.0);
-    // An arbitrary (not even locally optimal) seed assignment.
-    std::vector<int> seed(12);
-    for (int v = 0; v < 12; ++v) {
-      seed[static_cast<size_t>(v)] =
-          static_cast<int>(rng.NextBounded(static_cast<uint64_t>(problem.num_choices(v))));
-    }
-    IlpSolverOptions options;
-    options.max_search_nodes = 3;       // Force an immediate abort...
-    options.max_elimination_table = 0;  // ...by pinning the core to B&B.
-    options.seeds = {seed};
-    const IlpSolution solution = IlpSolver(options).Solve(problem);
-    ASSERT_TRUE(solution.feasible) << trial;
-    EXPECT_LE(solution.objective, problem.Evaluate(seed) + 1e-12) << trial;
-    EXPECT_NEAR(solution.objective, problem.Evaluate(solution.choice), 1e-9) << trial;
-  }
 }
 
 TEST(SolverCrossCheck, StagedSolvesDisconnectedComponentsExactly) {
@@ -202,37 +148,10 @@ TEST(SolverCrossCheck, StagedSolvesDisconnectedComponentsExactly) {
     add_edge(3, 5);
     add_edge(6, 7);
     add_edge(7, 8);
-    const IlpSolution staged = SolveWith(problem, IlpEngine::kStaged);
-    const IlpSolution legacy = SolveWith(problem, IlpEngine::kLegacy);
-    ASSERT_TRUE(staged.optimal) << trial;
-    EXPECT_NEAR(staged.objective, legacy.objective, 1e-9) << trial;
+    const IlpSolution solution = SolveWith(problem);
+    ASSERT_TRUE(solution.optimal) << trial;
+    EXPECT_NEAR(solution.objective, BruteForce(problem), 1e-9) << trial;
   }
-}
-
-TEST(SolverCrossCheck, PortfolioMatchesStagedOnRandomProblems) {
-  // The portfolio engine only adds incumbents to the exact search, so
-  // wherever both engines prove optimality the unique optimum (continuous
-  // random costs) must come back bit-identical.
-  Rng rng(8686);
-  int compared = 0;
-  for (int trial = 0; trial < 150; ++trial) {
-    const int nodes = 2 + static_cast<int>(rng.NextBounded(10));
-    const double edge_prob = rng.NextDouble(0.1, 0.7);
-    const double inf_prob = trial % 5 == 0 ? 0.1 : 0.0;
-    const IlpProblem problem = RandomProblem(rng, nodes, 4, edge_prob, inf_prob);
-    const IlpSolution staged = SolveWith(problem, IlpEngine::kStaged);
-    const IlpSolution portfolio = SolveWith(problem, IlpEngine::kPortfolio);
-    EXPECT_EQ(staged.feasible, portfolio.feasible) << trial;
-    if (staged.optimal && portfolio.optimal && staged.feasible) {
-      EXPECT_NEAR(staged.objective, portfolio.objective, 1e-9) << "trial " << trial;
-      EXPECT_EQ(staged.choice, portfolio.choice) << "trial " << trial;
-      ++compared;
-    }
-    if (portfolio.feasible) {
-      EXPECT_NEAR(portfolio.objective, problem.Evaluate(portfolio.choice), 1e-9) << trial;
-    }
-  }
-  EXPECT_GT(compared, 100);
 }
 
 TEST(SolverCrossCheck, PortfolioPoolDoesNotChangeTheSolution) {
@@ -242,7 +161,6 @@ TEST(SolverCrossCheck, PortfolioPoolDoesNotChangeTheSolution) {
     const int nodes = 6 + static_cast<int>(rng.NextBounded(8));
     const IlpProblem problem = RandomProblem(rng, nodes, 4, 0.6, trial % 3 == 0 ? 0.1 : 0.0);
     IlpSolverOptions serial_options;
-    serial_options.engine = IlpEngine::kPortfolio;
     serial_options.use_core_memo = false;
     serial_options.max_elimination_table = 0;  // Keep the race on the B&B path.
     serial_options.max_search_nodes = 8'192;   // Abort-prone on the dense trials.

@@ -10,6 +10,7 @@
 #include <map>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/inter/inter_pass.h"
@@ -115,8 +116,17 @@ TEST_F(TraceTest, PoolTasksLandOnWorkerLanesInsidePoolTaskSpans) {
   Trace::Enable();
   {
     ThreadPool pool(2);
+    std::atomic<int> done{0};
     for (int i = 0; i < 4; ++i) {
-      pool.Submit([] { TraceSpan span("unit_work"); });
+      pool.Submit([&done] {
+        { TraceSpan span("unit_work"); }
+        done.fetch_add(1);
+      });
+    }
+    // The destructor runs tasks still queued on this thread, outside any
+    // worker lane, so wait until the workers have taken all four.
+    while (done.load() < 4) {
+      std::this_thread::yield();
     }
   }  // Destructor joins: all spans are recorded.
   const std::vector<TraceEvent> events = Trace::Snapshot();

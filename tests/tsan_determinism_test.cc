@@ -21,6 +21,7 @@
 #include "src/support/rng.h"
 #include "src/support/thread_pool.h"
 #include "src/support/trace.h"
+#include "tests/ilp_oracle.h"
 
 namespace {
 
@@ -28,33 +29,7 @@ namespace {
 // tests: dense enough that every portfolio round does real work.
 alpa::IlpProblem AbortProneProblem() {
   alpa::Rng rng(45);
-  alpa::IlpProblem problem;
-  const int nodes = 14;
-  problem.node_costs.resize(nodes);
-  for (int v = 0; v < nodes; ++v) {
-    const int k = 1 + static_cast<int>(rng.NextBounded(5));
-    for (int i = 0; i < k; ++i) {
-      problem.node_costs[v].push_back(rng.NextDouble(0, 10));
-    }
-  }
-  for (int u = 0; u < nodes; ++u) {
-    for (int v = u + 1; v < nodes; ++v) {
-      if (rng.NextDouble() > 0.8) {
-        continue;
-      }
-      alpa::IlpProblem::Edge edge;
-      edge.u = u;
-      edge.v = v;
-      edge.cost.resize(problem.node_costs[u].size());
-      for (auto& row : edge.cost) {
-        for (size_t j = 0; j < problem.node_costs[v].size(); ++j) {
-          row.push_back(rng.NextDouble(0, 5));
-        }
-      }
-      problem.edges.push_back(edge);
-    }
-  }
-  return problem;
+  return alpa::RandomProblem(rng, 14, 5, 0.8);
 }
 
 // Races GRASP restarts, annealing chains, and root-parallel branch & bound
