@@ -48,7 +48,10 @@ struct PresolveSnapshot {
   long long elim_micros = 0;
   long long plan_micros = 0;
   long long presolve_micros = 0;
+  long long key_micros = 0;
   long long bnb_micros = 0;
+  long long diffusion_micros = 0;
+  long long diffusion_sweeps = 0;
   long long build_micros = 0;
   long long enum_micros = 0;
   long long edge_micros = 0;
@@ -62,7 +65,10 @@ struct PresolveSnapshot {
     s.elim_micros = Metrics::Value("ilp/elim/micros");
     s.plan_micros = Metrics::Value("ilp/elim/plan_micros");
     s.presolve_micros = Metrics::Value("ilp/presolve/micros");
+    s.key_micros = Metrics::Value("ilp/core_memo/key_micros");
     s.bnb_micros = Metrics::Value("ilp/bnb/micros");
+    s.diffusion_micros = Metrics::Value("ilp/diffusion/micros");
+    s.diffusion_sweeps = Metrics::Value("ilp/diffusion/sweeps");
     s.build_micros = Metrics::Value("ilp/build/micros");
     s.enum_micros = Metrics::Value("ilp/build/enum_micros");
     s.edge_micros = Metrics::Value("ilp/build/edge_micros");
@@ -102,7 +108,10 @@ struct PresolveSnapshot {
     d.elim_micros = elim_micros - before.elim_micros;
     d.plan_micros = plan_micros - before.plan_micros;
     d.presolve_micros = presolve_micros - before.presolve_micros;
+    d.key_micros = key_micros - before.key_micros;
     d.bnb_micros = bnb_micros - before.bnb_micros;
+    d.diffusion_micros = diffusion_micros - before.diffusion_micros;
+    d.diffusion_sweeps = diffusion_sweeps - before.diffusion_sweeps;
     d.build_micros = build_micros - before.build_micros;
     d.enum_micros = enum_micros - before.enum_micros;
     d.edge_micros = edge_micros - before.edge_micros;
@@ -177,8 +186,13 @@ int main(int argc, char** argv) {
                   " %.3fs tables + %.3fs ordering\n",
                   "", d.elim_solved, d.elim_bailed, d.elim_cells, d.elim_micros * 1e-6,
                   d.plan_micros * 1e-6);
-      std::printf("%-14s stage time: presolve %.3fs, search %.3fs\n", "",
-                  d.presolve_micros * 1e-6, d.bnb_micros * 1e-6);
+      // Search includes building each flat core, whose min-sum diffusion
+      // is broken out; the core-memo keys sit between presolve and
+      // elimination.
+      std::printf("%-14s stage time: presolve %.3fs, core keys %.3fs, search %.3fs"
+                  " (diffusion %.3fs, %lld sweeps)\n",
+                  "", d.presolve_micros * 1e-6, d.key_micros * 1e-6, d.bnb_micros * 1e-6,
+                  d.diffusion_micros * 1e-6, d.diffusion_sweeps);
     }
     if (d.build_micros > 0) {
       std::printf("%-14s pipeline: build %.3fs (enum %.3fs, edges %.3fs)\n", "",
@@ -217,6 +231,11 @@ int main(int argc, char** argv) {
         .Int("elim_solved", d.elim_solved)
         .Int("elim_bailed", d.elim_bailed)
         .Int("elim_table_cells", d.elim_cells)
+        .Num("presolve_seconds", d.presolve_micros * 1e-6)
+        .Num("core_key_seconds", d.key_micros * 1e-6)
+        .Num("search_seconds", d.bnb_micros * 1e-6)
+        .Num("diffusion_seconds", d.diffusion_micros * 1e-6)
+        .Int("diffusion_sweeps", d.diffusion_sweeps)
         .Int("portfolio_races", d.portfolio_races)
         .Int("portfolio_incumbent_handoffs", d.portfolio_handoffs)
         .Int("portfolio_bound_prunes", d.portfolio_prunes);

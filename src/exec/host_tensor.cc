@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/support/logging.h"
+#include "src/support/rng.h"
 
 namespace alpa {
 namespace exec {
@@ -97,18 +98,6 @@ void InsertTile(const TileData& tile, HostTensor* full) {
   });
 }
 
-namespace {
-
-// SplitMix64 finalizer: the repo's standard bit mixer (src/support/rng.h).
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 uint64_t HashName(const std::string& name) {
   uint64_t h = 1469598103934665603ULL;
   for (char c : name) {
@@ -119,7 +108,7 @@ uint64_t HashName(const std::string& name) {
 }
 
 float GenValue(uint64_t key, int64_t index) {
-  const uint64_t h = Mix(key ^ Mix(static_cast<uint64_t>(index) + 1));
+  const uint64_t h = SplitMix64(key ^ SplitMix64(static_cast<uint64_t>(index) + 1));
   // 53 high bits -> [0, 1) -> [-0.25, 0.25).
   const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;
   return static_cast<float>((unit - 0.5) * 0.5);
@@ -127,14 +116,14 @@ float GenValue(uint64_t key, int64_t index) {
 
 float GenIntValue(uint64_t key, int64_t index, int64_t bound) {
   ALPA_CHECK_GT(bound, 0);
-  const uint64_t h = Mix(key ^ Mix(static_cast<uint64_t>(index) + 1));
+  const uint64_t h = SplitMix64(key ^ SplitMix64(static_cast<uint64_t>(index) + 1));
   return static_cast<float>(static_cast<int64_t>(h % static_cast<uint64_t>(bound)));
 }
 
 uint64_t LeafKey(uint64_t seed, const std::string& name, OpType type, int microbatch) {
-  uint64_t key = Mix(seed) ^ HashName(name);
+  uint64_t key = SplitMix64(seed) ^ HashName(name);
   if (type == OpType::kInput) {
-    key = Mix(key ^ static_cast<uint64_t>(microbatch + 1));
+    key = SplitMix64(key ^ static_cast<uint64_t>(microbatch + 1));
   }
   return key;
 }

@@ -1,8 +1,11 @@
 #include "src/solver/flat_core.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
+
+#include "src/support/trace.h"
 
 namespace alpa {
 namespace {
@@ -11,11 +14,67 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double Clamp(double c) { return std::isfinite(c) ? c : kFlatLarge; }
 
+// The two block kernels of min-sum diffusion. Both walk an edge's row-major
+// [u][v] block (rows: u's choices, columns: v's choices), add one
+// endpoint's per-choice deltas, and read the other endpoint's row minima
+// off the cells just written. They only add and take minima, so
+// vectorizing them reassociates nothing: every cell gets the same
+// additions in the same order, and a minimum is exact in any order.
+
+// u's update: row i shifts by dv[i] (rows with a zero delta are left
+// alone); col_min[j] receives the new minimum of column j, v's row minima.
+void AddRowsTakeColumnMinima(double* blk, int rows, int cols, const double* dv,
+                             double* __restrict col_min) {
+  std::fill(col_min, col_min + cols, kInf);
+  for (int i = 0; i < rows; ++i) {
+    double* __restrict row = blk + static_cast<int64_t>(i) * cols;
+    const double d = dv[i];
+    if (d != 0.0) {
+      for (int j = 0; j < cols; ++j) {
+        const double x = row[j] + d;
+        row[j] = x;
+        col_min[j] = std::min(col_min[j], x);
+      }
+    } else {
+      for (int j = 0; j < cols; ++j) col_min[j] = std::min(col_min[j], row[j]);
+    }
+  }
+}
+
+// v's update: column j shifts by dv[j]; row_min[i] receives the new minimum
+// of row i, u's row minima. The row minimum runs on independent lane
+// accumulators; the lane loop must stay a loop (not unrolled into four
+// scalar chains) for GCC to map the lanes onto vector registers.
+void AddColumnsTakeRowMinima(double* blk, int rows, int cols, const double* __restrict dv,
+                             double* __restrict row_min) {
+  constexpr int kLanes = 4;
+  for (int i = 0; i < rows; ++i) {
+    double* __restrict row = blk + static_cast<int64_t>(i) * cols;
+    double acc[kLanes] = {kInf, kInf, kInf, kInf};
+    int j = 0;
+    for (; j + kLanes <= cols; j += kLanes) {
+#pragma GCC unroll 1
+      for (int l = 0; l < kLanes; ++l) {
+        const double x = row[j + l] + dv[j + l];
+        row[j + l] = x;
+        acc[l] = std::min(acc[l], x);
+      }
+    }
+    for (; j < cols; ++j) {
+      const double x = row[j] + dv[j];
+      row[j] = x;
+      acc[0] = std::min(acc[0], x);
+    }
+    row_min[i] = std::min(std::min(acc[0], acc[1]), std::min(acc[2], acc[3]));
+  }
+}
+
 }  // namespace
 
 FlatCore BuildFlatCore(const IlpProblem& p) {
   FlatCore f;
   f.n = p.num_nodes();
+  const size_t num_edges = p.edges.size();
   f.off.assign(static_cast<size_t>(f.n) + 1, 0);
   for (int v = 0; v < f.n; ++v) {
     f.off[static_cast<size_t>(v) + 1] = f.off[static_cast<size_t>(v)] + p.num_choices(v);
@@ -28,94 +87,118 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
     }
   }
 
+  // Arena: per edge, the row-major [u][v] block, then its transpose. Only
+  // the [u][v] block is live until diffusion ends; the transpose is
+  // written once, at the end.
+  std::vector<int64_t> base_uv(num_edges);
   int64_t arena_size = 0;
-  for (const IlpProblem::Edge& e : p.edges) {
+  for (size_t k = 0; k < num_edges; ++k) {
+    const IlpProblem::Edge& e = p.edges[k];
+    base_uv[k] = arena_size;
     arena_size += 2LL * p.num_choices(e.u) * p.num_choices(e.v);
   }
   f.arena.resize(static_cast<size_t>(arena_size));
-  f.edge_min.resize(p.edges.size());
+  f.edge_min.resize(num_edges);
 
-  std::vector<std::vector<FlatCore::Arc>> by_node(static_cast<size_t>(f.n));
-  int64_t pos = 0;
-  for (size_t k = 0; k < p.edges.size(); ++k) {
-    const IlpProblem::Edge& e = p.edges[k];
-    const int ku = p.num_choices(e.u);
-    const int kv = p.num_choices(e.v);
-    const int64_t base_uv = pos;
-    const int64_t base_vu = pos + static_cast<int64_t>(ku) * kv;
-    double mn = kInf;
-    for (int i = 0; i < ku; ++i) {
-      for (int j = 0; j < kv; ++j) {
-        const double c = Clamp(e.cost[static_cast<size_t>(i)][static_cast<size_t>(j)]);
-        f.arena[static_cast<size_t>(base_uv + static_cast<int64_t>(i) * kv + j)] = c;
-        f.arena[static_cast<size_t>(base_vu + static_cast<int64_t>(j) * ku + i)] = c;
-        mn = std::min(mn, c);
+  // Arcs grouped by node, each node's in edge order. rev[a] is the same
+  // edge's arc at the other endpoint. Arc a caches its endpoint's row
+  // minima for the diffusion sweeps at arc_min[arc_min_off[a]], K(self)
+  // of them.
+  f.arc_off.assign(static_cast<size_t>(f.n) + 1, 0);
+  for (const IlpProblem::Edge& e : p.edges) {
+    ++f.arc_off[static_cast<size_t>(e.u) + 1];
+    ++f.arc_off[static_cast<size_t>(e.v) + 1];
+  }
+  for (int v = 0; v < f.n; ++v) {
+    f.arc_off[static_cast<size_t>(v) + 1] += f.arc_off[static_cast<size_t>(v)];
+  }
+  f.arcs.resize(2 * num_edges);
+  std::vector<int> rev(2 * num_edges);
+  std::vector<int> arc_u(num_edges);  // Edge k's arc at e.u.
+  {
+    std::vector<int> next(f.arc_off.begin(), f.arc_off.end() - 1);
+    for (size_t k = 0; k < num_edges; ++k) {
+      const IlpProblem::Edge& e = p.edges[k];
+      const int ku = p.num_choices(e.u);
+      const int kv = p.num_choices(e.v);
+      const int au = next[static_cast<size_t>(e.u)]++;
+      const int av = next[static_cast<size_t>(e.v)]++;
+      f.arcs[static_cast<size_t>(au)] = FlatCore::Arc{e.v, static_cast<int>(k), base_uv[k]};
+      f.arcs[static_cast<size_t>(av)] =
+          FlatCore::Arc{e.u, static_cast<int>(k), base_uv[k] + static_cast<int64_t>(ku) * kv};
+      rev[static_cast<size_t>(au)] = av;
+      rev[static_cast<size_t>(av)] = au;
+      arc_u[k] = au;
+      double* uv = f.arena.data() + base_uv[k];
+      for (int i = 0; i < ku; ++i) {
+        for (int j = 0; j < kv; ++j) {
+          uv[static_cast<int64_t>(i) * kv + j] =
+              Clamp(e.cost[static_cast<size_t>(i)][static_cast<size_t>(j)]);
+        }
       }
     }
-    f.edge_min[k] = mn;
-    by_node[static_cast<size_t>(e.u)].push_back(FlatCore::Arc{e.v, static_cast<int>(k), base_uv});
-    by_node[static_cast<size_t>(e.v)].push_back(FlatCore::Arc{e.u, static_cast<int>(k), base_vu});
-    pos = base_vu + static_cast<int64_t>(ku) * kv;
   }
-  f.arc_off.assign(static_cast<size_t>(f.n) + 1, 0);
-  for (int v = 0; v < f.n; ++v) {
-    f.arc_off[static_cast<size_t>(v) + 1] =
-        f.arc_off[static_cast<size_t>(v)] + static_cast<int>(by_node[static_cast<size_t>(v)].size());
-    for (const FlatCore::Arc& a : by_node[static_cast<size_t>(v)]) {
-      f.arcs.push_back(a);
+  std::vector<int64_t> arc_min_off(f.arcs.size() + 1, 0);
+  for (int u = 0; u < f.n; ++u) {
+    for (int a = f.arc_off[static_cast<size_t>(u)]; a < f.arc_off[static_cast<size_t>(u) + 1];
+         ++a) {
+      arc_min_off[static_cast<size_t>(a) + 1] = arc_min_off[static_cast<size_t>(a)] + f.K(u);
     }
   }
+  std::vector<double> arc_min(static_cast<size_t>(arc_min_off.back()));
 
   // Soft arc consistency: project each edge row's minimum into the unary
   // cost of the incident endpoint (u-side rows first, then v-side rows of
-  // the residual). Every full assignment keeps its exact total — the shift
-  // moves cost between tables, it never creates or destroys any — but the
-  // per-node unary minima that every engine prunes with absorb cost that
-  // was invisible while it lived on the edge matrices. Rows whose minimum
-  // is at or above kFlatInfeasible mark the choice itself infeasible: the
-  // whole row folds into the unary entry, and ScoreVar drops the choice.
-  // One pass per direction reaches the fixpoint of this projection (edge
-  // blocks never receive cost back from unaries).
-  for (size_t k = 0; k < p.edges.size(); ++k) {
+  // the residual, i.e. the block's columns). Every full assignment keeps
+  // its exact total — the shift moves cost between tables, it never
+  // creates or destroys any — but the per-node unary minima that every
+  // engine prunes with absorb cost that was invisible while it lived on the
+  // edge matrices. Rows whose minimum is at or above kFlatInfeasible mark
+  // the choice itself infeasible: the whole row folds into the unary entry,
+  // and ScoreVar drops the choice. One pass per direction reaches the
+  // fixpoint of this projection (edge blocks never receive cost back from
+  // unaries).
+  for (size_t k = 0; k < num_edges; ++k) {
     const IlpProblem::Edge& e = p.edges[k];
     const int ku = p.num_choices(e.u);
     const int kv = p.num_choices(e.v);
-    // Recover the two block bases from the arcs we just laid out.
-    int64_t base_uv = -1;
-    for (const FlatCore::Arc& a : by_node[static_cast<size_t>(e.u)]) {
-      if (a.edge == static_cast<int>(k)) base_uv = a.base;
-    }
-    int64_t base_vu = -1;
-    for (const FlatCore::Arc& a : by_node[static_cast<size_t>(e.v)]) {
-      if (a.edge == static_cast<int>(k)) base_vu = a.base;
-    }
-    double* uv = f.arena.data() + base_uv;
-    double* vu = f.arena.data() + base_vu;
+    double* uv = f.arena.data() + base_uv[k];
     for (int i = 0; i < ku; ++i) {
+      double* row = uv + static_cast<int64_t>(i) * kv;
       double mn = kInf;
-      for (int j = 0; j < kv; ++j) mn = std::min(mn, uv[static_cast<int64_t>(i) * kv + j]);
+      for (int j = 0; j < kv; ++j) mn = std::min(mn, row[j]);
       if (mn != 0.0) {
         f.unary[static_cast<size_t>(f.off[static_cast<size_t>(e.u)] + i)] += mn;
-        for (int j = 0; j < kv; ++j) {
-          uv[static_cast<int64_t>(i) * kv + j] -= mn;
-          vu[static_cast<int64_t>(j) * ku + i] -= mn;
-        }
+        for (int j = 0; j < kv; ++j) row[j] -= mn;
       }
     }
     for (int j = 0; j < kv; ++j) {
       double mn = kInf;
-      for (int i = 0; i < ku; ++i) mn = std::min(mn, vu[static_cast<int64_t>(j) * ku + i]);
+      for (int i = 0; i < ku; ++i) mn = std::min(mn, uv[static_cast<int64_t>(i) * kv + j]);
       if (mn != 0.0) {
         f.unary[static_cast<size_t>(f.off[static_cast<size_t>(e.v)] + j)] += mn;
-        for (int i = 0; i < ku; ++i) {
-          vu[static_cast<int64_t>(j) * ku + i] -= mn;
-          uv[static_cast<int64_t>(i) * kv + j] -= mn;
-        }
+        for (int i = 0; i < ku; ++i) uv[static_cast<int64_t>(i) * kv + j] -= mn;
       }
     }
-    double mn = kInf;
-    for (int64_t c = 0; c < static_cast<int64_t>(ku) * kv; ++c) mn = std::min(mn, uv[c]);
-    f.edge_min[k] = mn;
+    // The projected block's row minima from both sides, and its minimum.
+    // Only an edge's two endpoints ever change its block, and the one that
+    // does refreshes both sides, so these caches always equal a fresh scan.
+    const size_t au = static_cast<size_t>(arc_u[k]);
+    double* u_min = arc_min.data() + arc_min_off[au];
+    double* v_min = arc_min.data() + arc_min_off[static_cast<size_t>(rev[au])];
+    std::fill(v_min, v_min + kv, kInf);
+    double em = kInf;
+    for (int i = 0; i < ku; ++i) {
+      const double* row = uv + static_cast<int64_t>(i) * kv;
+      double mn = kInf;
+      for (int j = 0; j < kv; ++j) {
+        mn = std::min(mn, row[j]);
+        v_min[j] = std::min(v_min[j], row[j]);
+      }
+      u_min[i] = mn;
+      em = std::min(em, mn);
+    }
+    f.edge_min[k] = em;
   }
 
   // Min-sum diffusion: equalize, per node and choice, the unary cost with
@@ -131,21 +214,11 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
   // could not close in tens of millions of nodes close in hundreds.
   // Deterministic: fixed sweep order, early stop on the dual bound alone.
   {
-    std::vector<int64_t> rev(f.arcs.size());  // Transposed block of each arc.
-    for (int u = 0; u < f.n; ++u) {
-      for (int a = f.arc_off[static_cast<size_t>(u)]; a < f.arc_off[static_cast<size_t>(u) + 1];
-           ++a) {
-        const FlatCore::Arc& arc = f.arcs[static_cast<size_t>(a)];
-        for (int b = f.arc_off[static_cast<size_t>(arc.peer)];
-             b < f.arc_off[static_cast<size_t>(arc.peer) + 1]; ++b) {
-          if (f.arcs[static_cast<size_t>(b)].edge == arc.edge) {
-            rev[static_cast<size_t>(a)] = f.arcs[static_cast<size_t>(b)].base;
-          }
-        }
-      }
-    }
+    static Metric* diffusion_micros = Metrics::Get("ilp/diffusion/micros");
+    static Metric* diffusion_sweeps = Metrics::Get("ilp/diffusion/sweeps");
+    const auto t0 = std::chrono::steady_clock::now();
     constexpr int kMaxSweeps = 64;
-    std::vector<double> t, m, share, dv, applied;
+    std::vector<double> t, share, dv, applied;
     double prev_lb = -kInf;
     // Dirty worklist: a node re-equalizes only while it or a neighbor still
     // moved cost last sweep, so converged regions stop paying. Same
@@ -163,7 +236,9 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
       }
       node_min[static_cast<size_t>(u)] = mn;
     }
+    int sweeps = 0;
     for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
+      ++sweeps;
       std::fill(next_dirty.begin(), next_dirty.end(), 0);
       for (int u = 0; u < f.n; ++u) {
         if (!dirty[static_cast<size_t>(u)]) continue;
@@ -171,19 +246,11 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
         const int deg = f.degree(u);
         if (deg == 0) continue;
         const int ou = f.off[static_cast<size_t>(u)];
-        t.assign(static_cast<size_t>(K), 0.0);
-        m.assign(static_cast<size_t>(deg) * K, 0.0);
-        for (int i = 0; i < K; ++i) t[static_cast<size_t>(i)] = f.unary[static_cast<size_t>(ou + i)];
-        for (int ai = 0; ai < deg; ++ai) {
-          const FlatCore::Arc& arc = f.arcs[static_cast<size_t>(f.arc_off[static_cast<size_t>(u)] + ai)];
-          const int kp = f.K(arc.peer);
-          for (int i = 0; i < K; ++i) {
-            const double* row = f.arena.data() + arc.base + static_cast<int64_t>(i) * kp;
-            double mn = kInf;
-            for (int j = 0; j < kp; ++j) mn = std::min(mn, row[j]);
-            m[static_cast<size_t>(ai) * K + i] = mn;
-            t[static_cast<size_t>(i)] += mn;
-          }
+        const int a0 = f.arc_off[static_cast<size_t>(u)];
+        t.assign(f.unary.begin() + ou, f.unary.begin() + ou + K);
+        for (int a = a0; a < a0 + deg; ++a) {
+          const double* m = arc_min.data() + arc_min_off[static_cast<size_t>(a)];
+          for (int i = 0; i < K; ++i) t[static_cast<size_t>(i)] += m[i];
         }
         bool moved = false;
         share.assign(static_cast<size_t>(K), kInf);
@@ -194,18 +261,13 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
           if (t[static_cast<size_t>(i)] >= kFlatInfeasible) continue;
           share[static_cast<size_t>(i)] = t[static_cast<size_t>(i)] / (deg + 1);
         }
-        // Arc-major update: build the per-choice delta vector for one arc,
-        // then apply it to both block orientations. The primary block takes
-        // it row by row; the transposed block takes the WHOLE vector along
-        // each of its rows, which walks that block sequentially instead of
-        // striding a column per choice — the same additions land on the
-        // same cells in the same order, only the cache behavior changes.
-        for (int ai = 0; ai < deg; ++ai) {
+        for (int a = a0; a < a0 + deg; ++a) {
+          double* m = arc_min.data() + arc_min_off[static_cast<size_t>(a)];
           dv.assign(static_cast<size_t>(K), 0.0);
           bool any = false;
           for (int i = 0; i < K; ++i) {
             if (share[static_cast<size_t>(i)] == kInf) continue;
-            const double d = share[static_cast<size_t>(i)] - m[static_cast<size_t>(ai) * K + i];
+            const double d = share[static_cast<size_t>(i)] - m[i];
             // Sub-relative-epsilon shifts keep ping-ponging rounding noise
             // between tables forever; leave them where they lie.
             if (std::abs(d) <= 1e-12 * (std::abs(share[static_cast<size_t>(i)]) + 1e-300)) continue;
@@ -215,29 +277,25 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
           }
           if (!any) continue;
           moved = true;
-          const FlatCore::Arc& arc =
-              f.arcs[static_cast<size_t>(f.arc_off[static_cast<size_t>(u)] + ai)];
-          const int kp = f.K(arc.peer);
-          double* blk = f.arena.data() + arc.base;
-          for (int i = 0; i < K; ++i) {
-            const double d = dv[static_cast<size_t>(i)];
-            if (d == 0.0) continue;
-            double* row = blk + static_cast<int64_t>(i) * kp;
-            for (int j = 0; j < kp; ++j) row[j] += d;
+          // One pass over the [u][v] block applies the deltas and refreshes
+          // the peer's cached minima from the cells just written.
+          const FlatCore::Arc& arc = f.arcs[static_cast<size_t>(a)];
+          const int r = rev[static_cast<size_t>(a)];
+          double* peer_min = arc_min.data() + arc_min_off[static_cast<size_t>(r)];
+          if (p.edges[static_cast<size_t>(arc.edge)].u == u) {
+            AddRowsTakeColumnMinima(f.arena.data() + arc.base, K, f.K(arc.peer), dv.data(),
+                                    peer_min);
+          } else {
+            AddColumnsTakeRowMinima(f.arena.data() + f.arcs[static_cast<size_t>(r)].base,
+                                    f.K(arc.peer), K, dv.data(), peer_min);
           }
-          double* rblk =
-              f.arena.data() + rev[static_cast<size_t>(f.arc_off[static_cast<size_t>(u)] + ai)];
-          for (int j = 0; j < kp; ++j) {
-            double* row = rblk + static_cast<int64_t>(j) * K;
-            for (int i = 0; i < K; ++i) row[i] += dv[static_cast<size_t>(i)];
-          }
-          // Shifting a whole row by d moves its minimum by exactly d (the
-          // stored m was copied out of the row, so m + d is bitwise the
-          // same double the scan would find), which keeps edge_min exact
-          // without rescanning the block.
+          // Shifting a whole row by d moves its minimum from m to exactly
+          // m + d (rounding is monotone), so u's own minima and the edge
+          // minimum stay exact without rescanning the block.
           double em = kInf;
           for (int i = 0; i < K; ++i) {
-            em = std::min(em, m[static_cast<size_t>(ai) * K + i] + dv[static_cast<size_t>(i)]);
+            m[i] += dv[static_cast<size_t>(i)];
+            em = std::min(em, m[i]);
           }
           f.edge_min[static_cast<size_t>(arc.edge)] = em;
         }
@@ -253,8 +311,7 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
           }
           node_min[static_cast<size_t>(u)] = nm;
           next_dirty[static_cast<size_t>(u)] = 1;
-          for (int a = f.arc_off[static_cast<size_t>(u)];
-               a < f.arc_off[static_cast<size_t>(u) + 1]; ++a) {
+          for (int a = a0; a < a0 + deg; ++a) {
             next_dirty[static_cast<size_t>(f.arcs[static_cast<size_t>(a)].peer)] = 1;
           }
         }
@@ -272,16 +329,31 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
         for (int u = 0; u < f.n; ++u) {
           lb += std::min(node_min[static_cast<size_t>(u)], kFlatLarge);
         }
-        for (size_t k = 0; k < p.edges.size(); ++k) {
+        for (size_t k = 0; k < num_edges; ++k) {
           lb += std::min(f.edge_min[k], kFlatLarge);
         }
         if (lb <= prev_lb + 1e-6 * std::abs(lb) + 1e-300) break;
         prev_lb = lb;
       }
     }
-    // No refresh needed after the loop: every block update above lands its
-    // new row minima on f.edge_min as it happens, so the per-edge minima
-    // are exact whenever the loop exits.
+    // The engines read each block from both endpoints: write the
+    // transposed [v][u] copies now that the [u][v] blocks are final.
+    for (size_t k = 0; k < num_edges; ++k) {
+      const IlpProblem::Edge& e = p.edges[k];
+      const int ku = p.num_choices(e.u);
+      const int kv = p.num_choices(e.v);
+      const double* uv = f.arena.data() + base_uv[k];
+      double* vu = f.arena.data() + base_uv[k] + static_cast<int64_t>(ku) * kv;
+      for (int j = 0; j < kv; ++j) {
+        for (int i = 0; i < ku; ++i) {
+          vu[static_cast<int64_t>(j) * ku + i] = uv[static_cast<int64_t>(i) * kv + j];
+        }
+      }
+    }
+    diffusion_sweeps->Add(sweeps);
+    diffusion_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
   }
 
   // Connected components (union-find), node ids ascending within each.

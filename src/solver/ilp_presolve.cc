@@ -526,17 +526,20 @@ std::vector<int> PresolvedProblem::Reconstruct(const std::vector<int>& core_choi
 }
 
 uint64_t IlpProblemFingerprint(const IlpProblem& problem) {
-  Fnv1a64 hasher;
-  hasher.I32(problem.num_nodes());
+  // Sizes delimit the cost lists, so moving a choice between nodes or an
+  // entry between rows changes the hash even when the flattened costs
+  // stay the same.
+  WordHash64 hasher;
+  hasher.I64(problem.num_nodes());
   for (const auto& costs : problem.node_costs) {
-    hasher.I32(static_cast<int32_t>(costs.size()));
+    hasher.I64(static_cast<int64_t>(costs.size()));
     for (double c : costs) {
       hasher.Double(c);
     }
   }
-  hasher.I32(static_cast<int32_t>(problem.edges.size()));
+  hasher.I64(static_cast<int64_t>(problem.edges.size()));
   for (const IlpProblem::Edge& e : problem.edges) {
-    hasher.I32(e.u).I32(e.v);
+    hasher.I64(e.u).I64(e.v);
     for (const auto& row : e.cost) {
       for (double c : row) {
         hasher.Double(c);

@@ -80,7 +80,8 @@ PresolvedProblem Presolve(const IlpProblem& problem);
 
 // Order-sensitive structural fingerprint of a problem (node costs by bit
 // pattern, edge endpoints and matrices). Identical problems hash equal, so
-// the solver memoizes core solves on it across calls.
+// the solver memoizes core solves on it across calls. One WordHash64 pass:
+// the value is not stable across versions and must never be persisted.
 uint64_t IlpProblemFingerprint(const IlpProblem& problem);
 
 }  // namespace alpa

@@ -200,17 +200,24 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
     // and hit across solves with different budgets. Search results depend
     // on the budget (ties and incumbents on aborts), so they key on it too.
     // The elimination cap participates in both keys: elimination and
-    // search are both exact but tie-break differently.
-    Fnv1a64 exact_hasher;
-    exact_hasher.U64(0x45'4c'49'4dULL);  // Salt disjoint from the full key.
-    exact_hasher.U64(IlpProblemFingerprint(pre.core));
-    exact_hasher.I64(options_.max_elimination_table);
-    exact_key = exact_hasher.hash();
-    Fnv1a64 hasher;
-    hasher.U64(IlpProblemFingerprint(pre.core));
-    hasher.I64(options_.max_search_nodes);
-    hasher.I64(options_.max_elimination_table);
-    full_key = hasher.hash();
+    // search are both exact but tie-break differently. The core is hashed
+    // once, for both keys.
+    static Metric* key_micros = Metrics::Get("ilp/core_memo/key_micros");
+    const auto key_t0 = std::chrono::steady_clock::now();
+    const uint64_t core_fingerprint = IlpProblemFingerprint(pre.core);
+    exact_key = WordHash64()
+                    .U64(0x45'4c'49'4dULL)  // Salt disjoint from the full key.
+                    .U64(core_fingerprint)
+                    .I64(options_.max_elimination_table)
+                    .hash();
+    full_key = WordHash64()
+                   .U64(core_fingerprint)
+                   .I64(options_.max_search_nodes)
+                   .I64(options_.max_elimination_table)
+                   .hash();
+    key_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - key_t0)
+                        .count());
     CoreMemo& memo = GlobalCoreMemo();
     std::lock_guard<std::mutex> lock(memo.mu);
     auto it = memo.entries.find(exact_key);

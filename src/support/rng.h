@@ -7,16 +7,24 @@
 
 namespace alpa {
 
+// The SplitMix64 output function of `x` (the generator below returns it for
+// successive states): a bijection on 64-bit words with full avalanche, i.e.
+// flipping any input bit flips each output bit with probability ~1/2.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(uint64_t seed) : state_(seed) {}
 
   uint64_t NextUint64() {
+    const uint64_t z = SplitMix64(state_);
     state_ += 0x9e3779b97f4a7c15ULL;
-    uint64_t z = state_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return z;
   }
 
   // Uniform integer in [0, bound).

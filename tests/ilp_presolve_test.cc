@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/solver/ilp_solver.h"
@@ -289,6 +290,51 @@ TEST(IlpPresolve, FingerprintSeparatesProblems) {
   IlpProblem c = a;
   c.node_costs[3][0] = -c.node_costs[3][0];
   EXPECT_NE(IlpProblemFingerprint(a), IlpProblemFingerprint(c));
+  // Two sign flips. Each flips bit 63 of its word, which a word-wise
+  // xor-multiply hash carries unchanged to the top bit of the result, so a
+  // pair of flips would cancel there.
+  IlpProblem d = a;
+  d.node_costs[1][0] = -d.node_costs[1][0];
+  d.node_costs[3][0] = -d.node_costs[3][0];
+  EXPECT_NE(IlpProblemFingerprint(a), IlpProblemFingerprint(d));
+  IlpProblem d2 = a;
+  d2.edges[0].cost[0][0] = -d2.edges[0].cost[0][0];
+  d2.edges[3].cost[0][0] = -d2.edges[3].cost[0][0];
+  EXPECT_NE(IlpProblemFingerprint(a), IlpProblemFingerprint(d2));
+  // The same edges in another order.
+  IlpProblem g = a;
+  std::swap(g.edges[0], g.edges[2]);
+  EXPECT_NE(IlpProblemFingerprint(a), IlpProblemFingerprint(g));
+}
+
+TEST(IlpPresolve, FingerprintSeparatesReshapedCosts) {
+  Rng rng(43);
+  IlpProblem a;
+  for (int v = 0; v < 3; ++v) {
+    a.node_costs.push_back({rng.NextDouble(0, 10), rng.NextDouble(0, 10), rng.NextDouble(0, 10)});
+  }
+  a.edges.push_back(RandomEdge(rng, a, 0, 1));
+  a.edges.push_back(RandomEdge(rng, a, 1, 2));
+  // Swapping an edge's endpoints (with its matrix transposed) keeps every
+  // objective, but it is another problem layout: the hash must see it.
+  IlpProblem swapped = a;
+  IlpProblem::Edge& e = swapped.edges[0];
+  std::swap(e.u, e.v);
+  const std::vector<std::vector<double>> cost = e.cost;
+  for (size_t i = 0; i < cost.size(); ++i) {
+    for (size_t j = 0; j < cost[i].size(); ++j) e.cost[j][i] = cost[i][j];
+  }
+  swapped.Validate();
+  EXPECT_EQ(a.Evaluate({0, 1, 2}), swapped.Evaluate({0, 1, 2}));
+  EXPECT_NE(IlpProblemFingerprint(a), IlpProblemFingerprint(swapped));
+
+  // One choice moved from node 0 to node 1: the flattened cost list is the
+  // same, only the per-node sizes delimit it differently.
+  IlpProblem b;
+  b.node_costs = {{1.0, 2.0, 3.0}, {4.0, 5.0}};
+  IlpProblem moved;
+  moved.node_costs = {{1.0, 2.0}, {3.0, 4.0, 5.0}};
+  EXPECT_NE(IlpProblemFingerprint(b), IlpProblemFingerprint(moved));
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ IlpSolution SolveWith(const IlpProblem& problem, ThreadPool* pool = nullptr,
   return IlpSolver(options).Solve(problem);
 }
 
-TEST(SolverCrossCheck, StagedMatchesLegacyOnRandomProblems) {
+TEST(SolverCrossCheck, MatchesBruteForceOnRandomProblems) {
   Rng rng(1234);
   int solved = 0;
   for (int trial = 0; trial < 200; ++trial) {
@@ -49,7 +49,7 @@ TEST(SolverCrossCheck, StagedMatchesLegacyOnRandomProblems) {
   EXPECT_GT(solved, 100);  // The suite must mostly exercise the feasible path.
 }
 
-TEST(SolverCrossCheck, StagedMatchesLegacyOnDenserGraphs) {
+TEST(SolverCrossCheck, MatchesBruteForceOnDenserGraphs) {
   Rng rng(99);
   for (int trial = 0; trial < 40; ++trial) {
     const int nodes = 8 + static_cast<int>(rng.NextBounded(6));
