@@ -2,6 +2,7 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -55,6 +56,24 @@ struct BenchFlags {
   std::string server;
 };
 
+// The value of `--threads`: a non-negative decimal integer and nothing
+// else. Anything else ("four", "4x", "-1", "") prints a usage message and
+// exits with status 2 rather than silently meaning 0, which is "hardware
+// concurrency".
+inline int ParseThreadsOrExit(const char* program, const char* value) {
+  const char* end = value + std::strlen(value);
+  int threads = -1;
+  const auto [parsed_end, error] = std::from_chars(value, end, threads);
+  if (error != std::errc() || parsed_end != end || threads < 0) {
+    std::fprintf(stderr,
+                 "%s: invalid --threads value '%s' (want a non-negative integer)\n"
+                 "usage: %s [--threads N] [--trace PATH] [--json PATH] [--server SOCKET]\n",
+                 program, value, program);
+    std::exit(2);
+  }
+  return threads;
+}
+
 // Parses `--threads N` / `--threads=N`, `--trace PATH` / `--trace=PATH`,
 // `--json PATH` / `--json=PATH`, and `--server SOCKET` / `--server=SOCKET`.
 inline BenchFlags ParseBenchFlags(int argc, char** argv, int default_threads = 1) {
@@ -62,9 +81,9 @@ inline BenchFlags ParseBenchFlags(int argc, char** argv, int default_threads = 1
   flags.threads = default_threads;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      flags.threads = std::atoi(argv[i + 1]);
+      flags.threads = ParseThreadsOrExit(argv[0], argv[i + 1]);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      flags.threads = std::atoi(argv[i] + 10);
+      flags.threads = ParseThreadsOrExit(argv[0], argv[i] + 10);
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       flags.trace_path = argv[i + 1];
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {

@@ -35,7 +35,7 @@ struct InterOpOptions {
   // baseline); empty = the full 5.2 space.
   std::vector<SubmeshShape> submesh_shapes;
   // Worker threads for the compilation pipeline: the profiler's eager
-  // (layer x variant) ILP sweep, the stage DP's profile precompute, and the
+  // (layer x mesh) ILP sweep, the stage DP's profile precompute, and the
   // equal-layer stage-count enumeration all fan out across one pool.
   // 1 = fully serial (no pool is created); 0 = hardware concurrency.
   // Results are bit-identical for any thread count: parallel work writes

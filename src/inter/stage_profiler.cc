@@ -43,17 +43,20 @@ std::string LayerSignature(const Graph& graph) {
 }
 #endif
 
-// Plan-space restriction realizing a memory mode, composed with any
-// caller-provided filter.
-AlgorithmFilter ModeFilter(MemoryMode mode, AlgorithmFilter base) {
+// "<physical> log(<a>,<b>)": the mesh of a variant, without its mode.
+std::string MeshName(const StageVariant& variant) {
+  return StrFormat("%s log(%d,%d)", variant.physical.ToString().c_str(), variant.logical[0],
+                   variant.logical[1]);
+}
+
+}  // namespace
+
+AlgorithmFilter MemoryModeFilter(MemoryMode mode) {
   if (mode == MemoryMode::kTimeOptimal) {
-    return base;
+    return nullptr;
   }
-  return [mode, base](const Graph& graph, const DeviceMesh& mesh, const Operator& op,
-                      const ParallelAlgorithm& a) {
-    if (base && !base(graph, mesh, op, a)) {
-      return false;
-    }
+  return [mode](const Graph&, const DeviceMesh&, const Operator& op,
+                const ParallelAlgorithm& a) {
     if (op.type == OpType::kUpdate && op.shape.elements() > 1024) {
       return !a.output_spec.IsFullyReplicated();
     }
@@ -65,14 +68,11 @@ AlgorithmFilter ModeFilter(MemoryMode mode, AlgorithmFilter base) {
   };
 }
 
-}  // namespace
-
 std::string StageVariant::ToString() const {
   const char* mode_name = mode == MemoryMode::kTimeOptimal
                               ? "time"
                               : (mode == MemoryMode::kShardOptimizer ? "zero2" : "zero3");
-  return StrFormat("%s log(%d,%d) %s", physical.ToString().c_str(), logical[0], logical[1],
-                   mode_name);
+  return MeshName(*this) + " " + mode_name;
 }
 
 StageProfiler::StageProfiler(const Graph& graph, const ClusterSpec& cluster,
@@ -110,33 +110,39 @@ StageProfiler::StageProfiler(const Graph& graph, const ClusterSpec& cluster,
 #endif
   }
 
-  // Expand (physical shape x logical shape x memory mode).
-  const std::vector<MemoryMode> modes =
-      options_.memory_modes
-          ? std::vector<MemoryMode>{MemoryMode::kTimeOptimal, MemoryMode::kShardOptimizer,
-                                    MemoryMode::kShardWeights}
-          : std::vector<MemoryMode>{MemoryMode::kTimeOptimal};
+  // Expand (physical shape x logical shape x memory mode). The modes of one
+  // mesh are adjacent, so variant v belongs to mesh group v / modes_.size().
+  modes_ = options_.memory_modes
+               ? std::vector<MemoryMode>{MemoryMode::kTimeOptimal, MemoryMode::kShardOptimizer,
+                                         MemoryMode::kShardWeights}
+               : std::vector<MemoryMode>{MemoryMode::kTimeOptimal};
   for (const SubmeshShape& shape : shapes) {
     for (const std::array<int, 2>& logical : DeviceMesh::LogicalShapeOptions(shape)) {
-      for (MemoryMode mode : modes) {
+      for (MemoryMode mode : modes_) {
         variants_.push_back(StageVariant{shape, logical, mode});
         dp_shapes_.push_back(shape);
       }
     }
   }
+  const int num_groups = static_cast<int>(variants_.size() / modes_.size());
 
   // once_flag is immovable, so rows are emplaced at their final size and
   // never copied or resized.
   layer_cache_.reserve(static_cast<size_t>(num_layers_));
   for (int l = 0; l < num_layers_; ++l) {
-    layer_cache_.emplace_back(variants_.size());
+    layer_cache_.emplace_back(static_cast<size_t>(num_groups));
   }
 
   // Eager sweep: pre-solve every dedup-canonical cell across the pool. The
   // interval DP touches exactly this set, so the sweep does no extra work;
   // it only reorders it onto concurrent workers. Cell results are
   // independent of solve order, so the sweep leaves the profiler in the
-  // same state lazy solving would.
+  // same state lazy solving would. One task per mesh group, not per
+  // variant: a variant task would only block on its group's once_flag.
+  // Tasks start in list order, so neighbours run at the same time. Mirror
+  // meshes such as log(1,4) and log(4,1) build identical ILPs, and two
+  // concurrent solves of one core both miss the core memo; listing the
+  // layers inside each mesh keeps such pairs apart.
   if (pool_ != nullptr && pool_->num_threads() > 1 && !options_.exact_intervals) {
     // Category "pool": this span only exists when a pool drives the sweep,
     // so the "compile"-category span set stays identical across thread
@@ -144,18 +150,17 @@ StageProfiler::StageProfiler(const Graph& graph, const ClusterSpec& cluster,
     TraceSpan sweep_span("profiling_sweep", "pool");
     const double sweep_start = NowSeconds();
     std::vector<std::pair<int, int>> cells;
-    cells.reserve(static_cast<size_t>(num_layers_) * variants_.size());
-    for (int l = 0; l < num_layers_; ++l) {
-      if (dedup_layer_[static_cast<size_t>(l)] != l) {
-        continue;
-      }
-      for (int v = 0; v < static_cast<int>(variants_.size()); ++v) {
-        cells.emplace_back(l, v);
+    cells.reserve(static_cast<size_t>(num_layers_) * static_cast<size_t>(num_groups));
+    for (int g = 0; g < num_groups; ++g) {
+      for (int l = 0; l < num_layers_; ++l) {
+        if (dedup_layer_[static_cast<size_t>(l)] == l) {
+          cells.emplace_back(l, g);
+        }
       }
     }
     ParallelFor(pool_, static_cast<int64_t>(cells.size()), [&](int64_t i) {
-      const auto& [layer, variant] = cells[static_cast<size_t>(i)];
-      EnsureLayer(layer, variant);
+      const auto& [layer, group] = cells[static_cast<size_t>(i)];
+      EnsureGroup(layer, group);
     });
     sweep_wall_seconds_ = NowSeconds() - sweep_start;
     profiling_seconds_at_sweep_end_ = profiling_seconds();
@@ -176,66 +181,100 @@ void StageProfiler::AddProfilingSeconds(double seconds) {
   }
 }
 
+void StageProfiler::EnsureGroup(int canonical, int group) {
+  GroupCell& cell = layer_cache_[static_cast<size_t>(canonical)][static_cast<size_t>(group)];
+  std::call_once(cell.once, [&] { SolveGroup(canonical, group, &cell); });
+}
+
 void StageProfiler::EnsureLayer(int layer, int variant_index) {
-  const int canonical = dedup_layer_[static_cast<size_t>(layer)];
-  LayerCell& cell =
-      layer_cache_[static_cast<size_t>(canonical)][static_cast<size_t>(variant_index)];
-  std::call_once(cell.once, [&] { SolveCell(canonical, variant_index, &cell); });
+  EnsureGroup(dedup_layer_[static_cast<size_t>(layer)],
+              variant_index / static_cast<int>(modes_.size()));
 }
 
 const IntraOpResult& StageProfiler::CellResult(int layer, int variant_index) const {
   const int canonical = dedup_layer_[static_cast<size_t>(layer)];
-  return layer_cache_[static_cast<size_t>(canonical)][static_cast<size_t>(variant_index)]
-      .result;
+  const size_t num_modes = modes_.size();
+  const size_t v = static_cast<size_t>(variant_index);
+  return layer_cache_[static_cast<size_t>(canonical)][v / num_modes].results[v % num_modes];
 }
 
-void StageProfiler::SolveCell(int canonical, int variant_index, LayerCell* cell) {
+void StageProfiler::SolveGroup(int canonical, int group, GroupCell* cell) {
   const double start = NowSeconds();
-  const StageVariant& variant = variants_[static_cast<size_t>(variant_index)];
+  const size_t num_modes = modes_.size();
+  const size_t first = static_cast<size_t>(group) * num_modes;
   const StageSubgraph& subgraph = layer_subgraphs_[static_cast<size_t>(canonical)];
-  TraceSpan span("ilp_solve");
-  const auto annotate = [&](bool cache_hit) {
+  cell->results.resize(num_modes);
+
+  // Memo lookups and inserts stay per mode. The key is built from the BASE
+  // options: the memory mode enters as a key field, never as a filter.
+  std::vector<IlpCacheKey> keys(num_modes);
+  std::vector<char> cacheable(num_modes, 0);
+  std::vector<char> hit(num_modes, 0);
+  bool all_hit = true;
+  for (size_t m = 0; m < num_modes; ++m) {
+    const StageVariant& variant = variants_[first + m];
+    cacheable[m] = options_.use_ilp_cache &&
+                   ComputeIlpCacheKey(cluster_, variant.physical, variant.logical,
+                                      static_cast<int>(variant.mode), options_.intra,
+                                      layer_hashes_[static_cast<size_t>(canonical)], &keys[m]);
+    if (cacheable[m]) {
+      hit[m] = IlpMemoCache::Global().Lookup(keys[m], &cell->results[m]) ? 1 : 0;
+      (hit[m] ? cache_hits_ : cache_misses_).fetch_add(1, std::memory_order_relaxed);
+    }
+    all_hit = all_hit && hit[m];
+  }
+  const auto solve_span = [&](TraceSpan& span, size_t m) {
     if (span.active()) {
       span.set_args(StrFormat("\"layer\":%d,\"variant\":\"%s\",\"cache_hit\":%s", canonical,
-                              JsonEscape(variant.ToString()).c_str(),
-                              cache_hit ? "true" : "false"));
+                              JsonEscape(variants_[first + m].ToString()).c_str(),
+                              hit[m] ? "true" : "false"));
     }
   };
-
-  // The key is built from the BASE options: the memory mode enters as a key
-  // field, not through the composed ModeFilter (which would be an
-  // unhashable closure).
-  IlpCacheKey key;
-  const bool cacheable =
-      options_.use_ilp_cache &&
-      ComputeIlpCacheKey(cluster_, variant.physical, variant.logical,
-                         static_cast<int>(variant.mode), options_.intra,
-                         layer_hashes_[static_cast<size_t>(canonical)], &key);
-  if (cacheable && IlpMemoCache::Global().Lookup(key, &cell->result)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    annotate(/*cache_hit=*/true);
+  if (all_hit) {
+    for (size_t m = 0; m < num_modes; ++m) {
+      TraceSpan span("ilp_solve");
+      solve_span(span, m);
+    }
     AddProfilingSeconds(NowSeconds() - start);
     return;
   }
-  if (cacheable) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  annotate(/*cache_hit=*/false);
 
+  // One build serves every mode: the time-optimal problem is the full one,
+  // and each sharded mode restricts the previous mode's problem in place
+  // (ZeRO-3's predicate implies ZeRO-2's, so the result equals a build
+  // filtered by the mode alone). The problem is freed when the group ends.
+  TraceSpan build_span("ilp_build");
+  if (build_span.active()) {
+    build_span.set_args(StrFormat("\"layer\":%d,\"mesh\":\"%s\"", canonical,
+                                  JsonEscape(MeshName(variants_[first])).c_str()));
+  }
   MeshPlacement placement;
-  placement.shape = variant.physical;
+  placement.shape = variants_[first].physical;
   IntraOpOptions intra = options_.intra;
-  intra.filter = ModeFilter(variant.mode, options_.intra.filter);
   // Root-level parallel branching inside the solver; results are identical
   // with or without the pool, so this does not perturb the cache key.
   intra.solver.pool = pool_;
-  const DeviceMesh mesh = DeviceMesh::Create(cluster_, placement, variant.logical);
-  cell->result = SolveIntraOp(subgraph.graph, mesh, intra);
-  num_ilp_solves_.fetch_add(1, std::memory_order_relaxed);
+  const DeviceMesh mesh = DeviceMesh::Create(cluster_, placement, variants_[first].logical);
+  IntraOpProblem problem = BuildIntraOpProblem(subgraph.graph, mesh, intra);
+  static Metric* builds_metric = Metrics::Get("ilp/builds");
+  builds_metric->Add(1);
   static Metric* solves_metric = Metrics::Get("ilp/solves");
-  solves_metric->Add(1);
-  if (cacheable) {
-    IlpMemoCache::Global().Insert(key, cell->result);
+  for (size_t m = 0; m < num_modes; ++m) {
+    const MemoryMode mode = variants_[first + m].mode;
+    if (mode != MemoryMode::kTimeOptimal) {
+      RestrictIntraOpProblem(subgraph.graph, mesh, intra, MemoryModeFilter(mode), &problem);
+    }
+    TraceSpan span("ilp_solve");
+    solve_span(span, m);
+    if (hit[m]) {
+      continue;
+    }
+    cell->results[m] = SolveIntraOpProblem(subgraph.graph, mesh, problem, intra);
+    num_ilp_solves_.fetch_add(1, std::memory_order_relaxed);
+    solves_metric->Add(1);
+    if (cacheable[m]) {
+      IlpMemoCache::Global().Insert(keys[m], cell->results[m]);
+    }
   }
   AddProfilingSeconds(NowSeconds() - start);
 }
@@ -269,10 +308,16 @@ StageProfile StageProfiler::Profile(int begin, int end, int variant_index) {
     MeshPlacement placement;
     placement.shape = variant.physical;
     IntraOpOptions intra = options_.intra;
-    intra.filter = ModeFilter(variant.mode, options_.intra.filter);
     intra.solver.pool = pool_;
     const DeviceMesh mesh = DeviceMesh::Create(cluster_, placement, variant.logical);
-    const IntraOpResult result = SolveIntraOp(subgraph.graph, mesh, intra);
+    IntraOpProblem problem = BuildIntraOpProblem(subgraph.graph, mesh, intra);
+    static Metric* builds_metric = Metrics::Get("ilp/builds");
+    builds_metric->Add(1);
+    if (variant.mode != MemoryMode::kTimeOptimal) {
+      RestrictIntraOpProblem(subgraph.graph, mesh, intra, MemoryModeFilter(variant.mode),
+                             &problem);
+    }
+    const IntraOpResult result = SolveIntraOpProblem(subgraph.graph, mesh, problem, intra);
     num_ilp_solves_.fetch_add(1, std::memory_order_relaxed);
     static Metric* solves_metric = Metrics::Get("ilp/solves");
     solves_metric->Add(1);

@@ -2,11 +2,14 @@
 //
 // The paper profiles every (layer interval, submesh shape) pair, accelerated
 // by a cost model at the XLA instruction level (Table 4 discussion). We do
-// the analogue: the intra-op ILP is solved once per layer and *variant* —
-// a (physical submesh shape, logical mesh shape, memory mode) triple — and
-// an interval's profile composes the per-layer results of one variant
-// additively (adjacent layers of one interval agree on boundary specs in
-// the optimum for the models we study, so the composition error is
+// the analogue: the intra-op ILP is built once per layer and mesh — a
+// (physical submesh shape, logical mesh shape) pair — and solved once per
+// *variant* of that mesh, one per memory mode: the time-optimal problem is
+// the full build, and the ZeRO-2 and ZeRO-3 problems are derived from it by
+// in-place restriction (RestrictIntraOpProblem), byte-identical to
+// filtered builds. An interval's profile composes the per-layer results of
+// one variant additively (adjacent layers of one interval agree on boundary
+// specs in the optimum for the models we study, so the composition error is
 // negligible and the profiling cost drops from O(L^2) to O(L) ILP solves).
 // The stage DP iterates over the expanded variant space, which lets it
 // trade execution time for memory (ZeRO-style sharding variants) per stage.
@@ -14,15 +17,16 @@
 // validation.
 //
 // Concurrency: the profiler is safe to call from multiple threads. Each
-// dedup-canonical (layer, variant) cell is guarded by a std::once_flag, so
-// an eager parallel sweep (run in the constructor when a ThreadPool is
+// dedup-canonical (layer, mesh group) cell is guarded by a std::once_flag,
+// so an eager parallel sweep (run in the constructor when a ThreadPool is
 // supplied) and on-demand Profile()/LayerResult() calls never race and
-// never solve a cell twice. Solve results are independent of thread count
-// and arrival order — the ILP solver is deterministic — so parallel and
-// serial compilation produce bit-identical profiles. Solves are further
-// memoized process-wide in IlpMemoCache so structurally identical layers
-// across profiler instances (benchmark sweeps, repeated compilations)
-// reuse each other's work.
+// never build or solve a cell twice. Solve results are independent of
+// thread count and arrival order — the ILP solver is deterministic — so
+// parallel and serial compilation produce bit-identical profiles. Solves
+// are further memoized per variant, process-wide, in IlpMemoCache so
+// structurally identical layers across profiler instances (benchmark
+// sweeps, repeated compilations) reuse each other's work; a cell builds
+// its problem only when some mode misses that cache.
 #ifndef SRC_INTER_STAGE_PROFILER_H_
 #define SRC_INTER_STAGE_PROFILER_H_
 
@@ -56,6 +60,13 @@ enum class MemoryMode {
   kShardWeights,    // ZeRO-3-like.
 };
 
+// The plan-space restriction realizing `mode`: the sharded modes drop the
+// replicated layouts of weight updates over 1024 elements (ZeRO-2) and,
+// under kShardWeights, of such parameters too (ZeRO-3). Null for
+// kTimeOptimal, which keeps every choice. kShardWeights keeps a subset of
+// what kShardOptimizer keeps.
+AlgorithmFilter MemoryModeFilter(MemoryMode mode);
+
 struct StageProfilerOptions {
   IntraOpOptions intra;
   // Solve the full-interval ILP instead of composing per-layer solutions.
@@ -81,10 +92,10 @@ struct StageVariant {
 class StageProfiler {
  public:
   // When `pool` is non-null (and has >1 thread), the constructor eagerly
-  // pre-solves the full dedup-canonical (layer x variant) grid across the
-  // pool's workers; later Profile() calls then only compose cached
-  // per-layer results. With a null pool, cells solve lazily on demand,
-  // exactly as before.
+  // pre-solves the full dedup-canonical (layer x mesh group) grid across
+  // the pool's workers, one task per cell; later Profile() calls then only
+  // compose cached per-layer results. With a null pool, cells solve lazily
+  // on demand, all modes of a mesh at its first use.
   StageProfiler(const Graph& graph, const ClusterSpec& cluster,
                 const std::vector<SubmeshShape>& shapes, StageProfilerOptions options,
                 ThreadPool* pool = nullptr);
@@ -119,23 +130,27 @@ class StageProfiler {
   int64_t cache_misses() const { return cache_misses_.load(std::memory_order_relaxed); }
 
  private:
-  // One dedup-canonical solve slot. call_once makes concurrent eager and
-  // on-demand access race-free; once_flag is immovable, so rows are built
-  // in place and never resized after construction.
-  struct LayerCell {
+  // One dedup-canonical (layer, mesh group) slot: one build, one result
+  // per memory mode. call_once makes concurrent eager and on-demand access
+  // race-free; once_flag is immovable, so rows are built in place and never
+  // resized after construction.
+  struct GroupCell {
     std::once_flag once;
-    IntraOpResult result;
+    std::vector<IntraOpResult> results;  // Indexed like modes_.
   };
 
-  // Runs the cell's solve exactly once (redirecting `layer` through the
-  // structural dedup first).
+  // Runs the group's build and solves exactly once.
+  void EnsureGroup(int canonical, int group);
+  // EnsureGroup for the group of `variant_index`, redirecting `layer`
+  // through the structural dedup first.
   void EnsureLayer(int layer, int variant_index);
-  void SolveCell(int canonical, int variant_index, LayerCell* cell);
+  void SolveGroup(int canonical, int group, GroupCell* cell);
   const IntraOpResult& CellResult(int layer, int variant_index) const;
   void AddProfilingSeconds(double seconds);
 
   const Graph& graph_;
   const ClusterSpec& cluster_;
+  std::vector<MemoryMode> modes_;  // Of every mesh group, time-optimal first.
   std::vector<StageVariant> variants_;
   std::vector<SubmeshShape> dp_shapes_;
   std::vector<int> dedup_layer_;  // layer -> first structurally equal layer.
@@ -144,7 +159,7 @@ class StageProfiler {
   ThreadPool* pool_ = nullptr;
   int num_layers_ = 0;
   std::vector<StageSubgraph> layer_subgraphs_;
-  std::vector<std::vector<LayerCell>> layer_cache_;  // [canonical layer][variant]
+  std::vector<std::vector<GroupCell>> layer_cache_;  // [canonical layer][mesh group]
   std::mutex exact_mu_;
   std::map<std::tuple<int, int, int>, StageProfile> exact_cache_;
   std::atomic<int64_t> num_ilp_solves_{0};

@@ -41,8 +41,69 @@ double OpComputeTime(const Operator& op, int64_t shards, const DeviceSpec& devic
   return 0.0;
 }
 
+namespace {
+
+// ILP cost of running `op` with algorithm `a`. Per-iteration nodes amortize
+// over gradient accumulation; a vanishing memory tiebreak (~1e-10 s for a
+// 100 MB tensor) makes equal-time layouts prefer the sharded one, so free
+// slicing choices (inputs, boundary activations) do not squat replicated
+// memory.
+double NodeCost(const Operator& op, const ParallelAlgorithm& a, bool per_iteration,
+                double amortize, const DeviceMesh& mesh) {
+  const double tiebreak =
+      1e-18 *
+      static_cast<double>(a.output_spec.ShardedBytes(op.shape, DTypeBytes(op.dtype), mesh));
+  if (!per_iteration) {
+    return a.comm_cost + a.compute_cost + tiebreak;
+  }
+  if (op.type == OpType::kUpdate) {
+    // Optimizer math and communication both run once per iteration.
+    return (a.comm_cost + a.compute_cost) / amortize + tiebreak;
+  }
+  // Gradient producers: the computation happens per microbatch; only the
+  // gradient synchronization amortizes.
+  return a.comm_cost / amortize + a.compute_cost + tiebreak;
+}
+
+// The one choice left to a node whose every algorithm a filter drops: fully
+// replicated execution, charged the compute it loses to the idle devices.
+ParallelAlgorithm ReplicatedFallback(const Graph& graph, const DeviceMesh& mesh,
+                                     const Operator& op, Precision precision) {
+  const DeviceSpec& device = mesh.cluster().device;
+  ParallelAlgorithm fallback;
+  fallback.name = "replicated";
+  fallback.output_spec = ShardingSpec::Replicated(op.shape.rank());
+  for (int operand : op.operands) {
+    fallback.input_specs.push_back(ShardingSpec::Replicated(graph.op(operand).shape.rank()));
+  }
+  fallback.compute_cost = OpComputeTime(op, 1, device, precision) -
+                          OpComputeTime(op, mesh.num_devices(), device, precision);
+  return fallback;
+}
+
+// Keeps the entries of `values` at the ascending indices `rows`, in order.
+template <typename T>
+void KeepEntries(const std::vector<size_t>& rows, std::vector<T>* values) {
+  for (size_t k = 0; k < rows.size(); ++k) {
+    if (rows[k] != k) {
+      (*values)[k] = std::move((*values)[rows[k]]);
+    }
+  }
+  values->resize(rows.size());
+}
+
+int64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+}  // namespace
+
 IntraOpProblem BuildIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
                                    const IntraOpOptions& options) {
+  static Metric* build_micros = Metrics::Get("ilp/build/micros");
+  const auto build_t0 = std::chrono::steady_clock::now();
   const DeviceSpec& device = mesh.cluster().device;
   IntraOpProblem problem;
   problem.merge = ComputeMergePlan(graph);
@@ -96,16 +157,7 @@ IntraOpProblem BuildIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
         algorithms = std::move(kept);
       } else {
         // Keep only the replicated fallback for feasibility.
-        ParallelAlgorithm fallback;
-        fallback.name = "replicated";
-        fallback.output_spec = ShardingSpec::Replicated(op.shape.rank());
-        for (int operand : op.operands) {
-          fallback.input_specs.push_back(
-              ShardingSpec::Replicated(graph.op(operand).shape.rank()));
-        }
-        fallback.compute_cost = OpComputeTime(op, 1, device, options.precision) -
-                                OpComputeTime(op, mesh.num_devices(), device, options.precision);
-        algorithms = {std::move(fallback)};
+        algorithms = {ReplicatedFallback(graph, mesh, op, options.precision)};
       }
     }
     const bool node_flag =
@@ -115,22 +167,7 @@ IntraOpProblem BuildIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
     auto& costs = problem.ilp.node_costs[static_cast<size_t>(n)];
     costs.reserve(algorithms.size());
     for (const ParallelAlgorithm& a : algorithms) {
-      // Vanishing memory tiebreak (~1e-10 s for a 100 MB tensor): among
-      // equal-time layouts prefer the sharded one, so free slicing choices
-      // (inputs, boundary activations) do not squat replicated memory.
-      const double tiebreak =
-          1e-18 *
-          static_cast<double>(a.output_spec.ShardedBytes(op.shape, DTypeBytes(op.dtype), mesh));
-      if (!node_flag) {
-        costs.push_back(a.comm_cost + a.compute_cost + tiebreak);
-      } else if (op.type == OpType::kUpdate) {
-        // Optimizer math and communication both run once per iteration.
-        costs.push_back((a.comm_cost + a.compute_cost) / amortize + tiebreak);
-      } else {
-        // Gradient producers: the computation happens per microbatch; only
-        // the gradient synchronization amortizes.
-        costs.push_back(a.comm_cost / amortize + a.compute_cost + tiebreak);
-      }
+      costs.push_back(NodeCost(op, a, node_flag, amortize, mesh));
     }
     problem.algorithms[static_cast<size_t>(n)] = std::move(algorithms);
   }
@@ -280,10 +317,68 @@ IntraOpProblem BuildIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
       }
     }
   }
-  edge_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now() - edge_t0)
-                       .count());
+  edge_micros->Add(MicrosSince(edge_t0));
+  build_micros->Add(MicrosSince(build_t0));
   return problem;
+}
+
+void RestrictIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
+                            const IntraOpOptions& options, const AlgorithmFilter& keep,
+                            IntraOpProblem* problem) {
+  static Metric* build_micros = Metrics::Get("ilp/build/micros");
+  const auto t0 = std::chrono::steady_clock::now();
+  const double amortize = std::max(1, options.num_microbatches);
+  const size_t num_nodes = problem->algorithms.size();
+  // Kept choice indices of every node that loses a choice; empty for nodes
+  // that keep them all, whose rows and columns stay untouched.
+  std::vector<std::vector<size_t>> kept(num_nodes);
+  for (size_t n = 0; n < num_nodes; ++n) {
+    const Operator& op = graph.op(problem->merge.decision_ops[n]);
+    std::vector<ParallelAlgorithm>& algorithms = problem->algorithms[n];
+    std::vector<size_t>& rows = kept[n];
+    for (size_t i = 0; i < algorithms.size(); ++i) {
+      if (keep(graph, mesh, op, algorithms[i])) {
+        rows.push_back(i);
+      }
+    }
+    if (rows.size() == algorithms.size()) {
+      rows.clear();
+      continue;
+    }
+    std::vector<double>& costs = problem->ilp.node_costs[n];
+    if (!rows.empty()) {
+      KeepEntries(rows, &algorithms);
+      KeepEntries(rows, &costs);
+      continue;
+    }
+    // Every choice dropped: the build-time filter's replicated fallback.
+    // Edge entries depend only on the endpoint specs, so the fallback's
+    // are those of the first choice with exactly its specs.
+    ParallelAlgorithm fallback = ReplicatedFallback(graph, mesh, op, options.precision);
+    const auto same_specs = std::find_if(
+        algorithms.begin(), algorithms.end(), [&](const ParallelAlgorithm& a) {
+          return a.output_spec == fallback.output_spec && a.input_specs == fallback.input_specs;
+        });
+    ALPA_CHECK(same_specs != algorithms.end())
+        << "restriction drops every choice of op " << op.id
+        << " and none has the replicated fallback's specs";
+    rows.push_back(static_cast<size_t>(same_specs - algorithms.begin()));
+    costs.assign(1, NodeCost(op, fallback, problem->node_per_iteration[n], amortize, mesh));
+    algorithms.assign(1, std::move(fallback));
+  }
+  for (IlpProblem::Edge& edge : problem->ilp.edges) {
+    const std::vector<size_t>& rows = kept[static_cast<size_t>(edge.u)];
+    const std::vector<size_t>& cols = kept[static_cast<size_t>(edge.v)];
+    if (!rows.empty()) {
+      KeepEntries(rows, &edge.cost);
+    }
+    if (!cols.empty()) {
+      for (std::vector<double>& row : edge.cost) {
+        KeepEntries(cols, &row);
+      }
+    }
+  }
+  build_micros->Add(MicrosSince(t0));
 }
 
 IntraOpResult EvaluateChoice(const Graph& graph, const DeviceMesh& mesh,
@@ -423,12 +518,11 @@ IntraOpResult EvaluateChoice(const Graph& graph, const DeviceMesh& mesh,
 
 IntraOpResult SolveIntraOp(const Graph& graph, const DeviceMesh& mesh,
                            const IntraOpOptions& options) {
-  static Metric* build_micros = Metrics::Get("ilp/build/micros");
-  const auto build_t0 = std::chrono::steady_clock::now();
-  const IntraOpProblem problem = BuildIntraOpProblem(graph, mesh, options);
-  build_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - build_t0)
-                        .count());
+  return SolveIntraOpProblem(graph, mesh, BuildIntraOpProblem(graph, mesh, options), options);
+}
+
+IntraOpResult SolveIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
+                                  const IntraOpProblem& problem, const IntraOpOptions& options) {
   if (!options.forced_choice.empty()) {
     return EvaluateChoice(graph, mesh, problem, options, options.forced_choice, false);
   }

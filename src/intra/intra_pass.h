@@ -91,9 +91,26 @@ struct IntraOpResult {
 IntraOpProblem BuildIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
                                    const IntraOpOptions& options);
 
+// Restricts `problem`, built by BuildIntraOpProblem for the same graph,
+// mesh and options, in place to the choices `keep` accepts. The result is
+// byte-identical to building with `keep` composed into options.filter:
+// only the menus and node costs of nodes that lose a choice change, and
+// only the edges touching them lose rows or columns. A node that loses
+// every choice gets the build's replicated fallback; it must have a choice
+// with the fallback's (fully replicated) specs, as parameter and update
+// nodes always do. Since every entry depends only on its own endpoints,
+// restricting a restricted problem again composes the two predicates.
+void RestrictIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
+                            const IntraOpOptions& options, const AlgorithmFilter& keep,
+                            IntraOpProblem* problem);
+
 // Builds and solves; the one-stop entry point.
 IntraOpResult SolveIntraOp(const Graph& graph, const DeviceMesh& mesh,
                            const IntraOpOptions& options);
+
+// Solves a prebuilt (possibly restricted) problem.
+IntraOpResult SolveIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
+                                  const IntraOpProblem& problem, const IntraOpOptions& options);
 
 // Evaluates a specific choice vector on a prebuilt problem (used both by
 // SolveIntraOp and by baselines with hand-constructed plans).

@@ -1,7 +1,7 @@
 // Trace layer: span nesting and thread-lane assignment under the worker
 // pool, the zero-allocation guarantee of the disabled path, the Chrome
-// trace exporter (golden output), metrics, and span-structure determinism
-// across compile thread counts.
+// trace exporter (golden output), metrics, span-structure determinism
+// across compile thread counts, and the ILP build/solve span nesting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/inter/inter_pass.h"
@@ -261,6 +262,84 @@ TEST_F(TraceTest, CompileSpanStructureDeterministicAcrossThreadCounts) {
   ASSERT_TRUE(parallel.feasible);
   EXPECT_FALSE(serial_spans.empty());
   EXPECT_EQ(serial_spans, parallel_spans);
+}
+
+TEST_F(TraceTest, IlpBuildSpansEncloseTheirModeSolves) {
+  if (!Trace::kCompiledIn) {
+    GTEST_SKIP() << "built with ALPA_TRACE=OFF";
+  }
+  GptConfig config;
+  config.hidden = 128;
+  config.num_layers = 2;
+  config.num_heads = 4;
+  config.microbatch = 2;
+  config.seq_len = 64;
+  config.vocab = 512;
+  const ClusterSpec cluster = ClusterSpec::AwsP3(1, 2);
+  InterOpOptions options;
+  options.num_microbatches = 4;
+  options.target_layers = 2;
+  options.profiler.intra.solver.max_search_nodes = 5'000;
+  // The value of `key` in a span's JSON args body (a number or a string).
+  const auto arg = [](const TraceEvent& e, const std::string& key) {
+    const std::string marker = "\"" + key + "\":";
+    const size_t at = e.args.find(marker);
+    if (at == std::string::npos) {
+      return std::string();
+    }
+    const size_t begin = at + marker.size();
+    if (e.args[begin] == '"') {
+      return e.args.substr(begin + 1, e.args.find('"', begin + 1) - begin - 1);
+    }
+    return e.args.substr(begin, e.args.find(',', begin) - begin);
+  };
+  const auto compile = [&](int threads) {
+    Trace::Clear();
+    Graph graph = BuildGpt(config);
+    InterOpOptions run = options;
+    run.compile_threads = threads;
+    EXPECT_TRUE(RunInterOpPass(graph, cluster, run).feasible);
+    std::vector<TraceEvent> builds;
+    std::vector<TraceEvent> solves;
+    for (const TraceEvent& e : Trace::Snapshot()) {
+      if (e.name == "ilp_build") {
+        builds.push_back(e);
+      } else if (e.name == "ilp_solve") {
+        solves.push_back(e);
+      }
+    }
+    return std::make_pair(builds, solves);
+  };
+
+  Trace::Enable();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    IlpMemoCache::Global().Clear();
+    const auto [builds, solves] = compile(threads);
+    // Cold: one build per (layer, mesh), enclosing the solves of its three
+    // memory modes on the same lane.
+    ASSERT_FALSE(builds.empty());
+    EXPECT_EQ(solves.size(), 3 * builds.size());
+    for (const TraceEvent& solve : solves) {
+      EXPECT_EQ(arg(solve, "cache_hit"), "false");
+      int enclosing = 0;
+      for (const TraceEvent& build : builds) {
+        if (build.lane_id == solve.lane_id && build.start <= solve.start &&
+            solve.end <= build.end && arg(build, "layer") == arg(solve, "layer") &&
+            arg(solve, "variant").rfind(arg(build, "mesh") + " ", 0) == 0) {
+          ++enclosing;
+        }
+      }
+      EXPECT_EQ(enclosing, 1) << solve.args;
+    }
+    // Warm: every mode hits the memo, so nothing is built.
+    const auto [warm_builds, warm_solves] = compile(threads);
+    EXPECT_TRUE(warm_builds.empty());
+    EXPECT_EQ(warm_solves.size(), solves.size());
+    for (const TraceEvent& solve : warm_solves) {
+      EXPECT_EQ(arg(solve, "cache_hit"), "true");
+    }
+  }
 }
 
 }  // namespace
