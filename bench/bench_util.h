@@ -2,12 +2,13 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "src/core/api.h"
 #include "src/serve/client.h"
 #include "src/serve/service.h"
+#include "src/support/strings.h"
 
 namespace alpa {
 namespace bench {
@@ -61,17 +63,16 @@ struct BenchFlags {
 // exits with status 2 rather than silently meaning 0, which is "hardware
 // concurrency".
 inline int ParseThreadsOrExit(const char* program, const char* value) {
-  const char* end = value + std::strlen(value);
-  int threads = -1;
-  const auto [parsed_end, error] = std::from_chars(value, end, threads);
-  if (error != std::errc() || parsed_end != end || threads < 0) {
+  const std::optional<int64_t> threads =
+      ParseNonNegativeInt(value, std::numeric_limits<int>::max());
+  if (!threads.has_value()) {
     std::fprintf(stderr,
                  "%s: invalid --threads value '%s' (want a non-negative integer)\n"
                  "usage: %s [--threads N] [--trace PATH] [--json PATH] [--server SOCKET]\n",
                  program, value, program);
     std::exit(2);
   }
-  return threads;
+  return static_cast<int>(*threads);
 }
 
 // Parses `--threads N` / `--threads=N`, `--trace PATH` / `--trace=PATH`,

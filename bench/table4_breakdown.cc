@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
     options.inter.num_microbatches =
         static_cast<int>(bench_case.global_batch / config.microbatch);
     options.inter.target_layers = 16;
-    // Override the template's thread count per run; the mirror stays at
-    // kInheritThreads so the authoritative field wins.
+    // Override the template's thread count per run.
     options.inter.compile_threads = compile_threads;
     return Parallelize(graph, cluster, options);
   };

@@ -47,25 +47,11 @@ Status ParallelizeOptions::Finalize() {
                                              inter.num_microbatches));
   }
 
-  if (compile_threads < kInheritThreads) {
-    return Status::InvalidArgument(
-        StrFormat("compile_threads must be >= 0 (or kInheritThreads), got %d", compile_threads));
-  }
-  if (compile_threads != kInheritThreads) {
-    if (inter.compile_threads != kInterDefaults.compile_threads &&
-        inter.compile_threads != compile_threads) {
-      return Status::InvalidArgument(StrFormat(
-          "compile_threads set on both ParallelizeOptions (%d) and "
-          "InterOpOptions (%d); set it once — InterOpOptions is authoritative",
-          compile_threads, inter.compile_threads));
-    }
-    inter.compile_threads = compile_threads;
-  }
   if (inter.compile_threads < 0) {
     return Status::InvalidArgument(
         StrFormat("inter.compile_threads must be >= 0, got %d", inter.compile_threads));
   }
-  // The mirrors keep their sentinel/user values: a finalized options object
+  // The mirror keeps its sentinel/user value: a finalized options object
   // can be used as a template whose inter.* fields are tweaked and
   // re-finalized (the benchmarks' BaselineOptionTemplate pattern).
   return Status::Ok();
@@ -80,6 +66,7 @@ ParallelizeOptions ParallelizeOptions::Builder::Build() const {
 
 StatusOr<ParallelPlan> Parallelize(Graph& graph, const ClusterSpec& cluster,
                                    const ParallelizeOptions& options) {
+  ALPA_RETURN_IF_ERROR(cluster.Validate());
   ParallelizeOptions opts = options;
   ALPA_RETURN_IF_ERROR(opts.Finalize());
   if (!opts.trace_path.empty()) {

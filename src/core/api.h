@@ -15,7 +15,8 @@
 // one-shot compiles that want neither request plumbing nor caching.
 //
 // Failures are structured (src/support/status.h) rather than flag pairs:
-//   kInvalidArgument   — contradictory or out-of-range options
+//   kInvalidArgument   — a malformed cluster, or contradictory or
+//                        out-of-range options
 //   kInfeasible        — clustering/stage-DP found no plan under the budget
 //   kResourceExhausted — the plan executes but a stage exceeds device memory
 #ifndef SRC_CORE_API_H_
@@ -45,11 +46,6 @@ struct ParallelizeOptions {
   // "inter-op only" baseline).
   bool enable_intraop = true;
   ReshardStrategy reshard = ReshardStrategy::kLocalAllGather;
-  // Convenience mirror of inter.compile_threads (1 = serial, 0 = hardware
-  // concurrency). kInheritThreads = inherit from `inter`. Any value yields
-  // bit-identical plans; see InterOpOptions::compile_threads.
-  static constexpr int kInheritThreads = -1;
-  int compile_threads = kInheritThreads;
   // Non-empty: enable the process-wide trace for this compilation and write
   // the accumulated Chrome-trace JSON here after each entry point returns
   // (Parallelize after compiling, CompileAndSimulate again after
@@ -57,8 +53,8 @@ struct ParallelizeOptions {
   std::string trace_path;
   InterOpOptions inter;
 
-  // Resolves the mirror fields into `inter` and validates everything.
-  // kInvalidArgument when a mirror and an explicitly-set inter field
+  // Resolves the mirror field into `inter` and validates everything.
+  // kInvalidArgument when the mirror and an explicitly-set inter field
   // disagree, or a value is out of range. Idempotent; the entry points call
   // it on their private copy, so callers only need it to pre-validate.
   Status Finalize();
@@ -148,7 +144,10 @@ PipelineSimInput BuildPipelineSimInput(const CompiledPipeline& pipeline,
                                        PipelineScheduleType schedule, ReshardStrategy reshard);
 
 // Runs the full compiler stack. `graph` is re-tagged in place by operator
-// clustering. Errors: kInvalidArgument (bad options), kInfeasible (no plan).
+// clustering. Errors: kInvalidArgument (a cluster that fails
+// ClusterSpec::Validate, or bad options), kInfeasible (no plan). Every
+// compile path (the service, the daemon, RepairPlan, the elastic loop)
+// comes through here.
 StatusOr<ParallelPlan> Parallelize(Graph& graph, const ClusterSpec& cluster,
                                    const ParallelizeOptions& options);
 

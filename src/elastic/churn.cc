@@ -10,6 +10,14 @@
 namespace alpa {
 namespace elastic {
 
+namespace {
+
+// Failures and drains that would leave fewer than this many hosts are
+// dropped from the stream (a dead cluster has nothing left to plan for).
+constexpr int kMinHosts = 1;
+
+}  // namespace
+
 const char* ToString(ChurnEventKind kind) {
   switch (kind) {
     case ChurnEventKind::kHostFailure:
@@ -48,7 +56,7 @@ std::vector<ChurnEvent> SampleChurnEvents(const ClusterSpec& initial,
   // joins speed it up, as they would in production.
   while (now < options.horizon_seconds) {
     double next_failure = options.horizon_seconds + 1.0;
-    if (options.host_mtbf_seconds > 0.0 && alive > options.min_hosts) {
+    if (options.host_mtbf_seconds > 0.0 && alive > kMinHosts) {
       const double rate = static_cast<double>(alive) / options.host_mtbf_seconds;
       next_failure = now - std::log(1.0 - rng.NextDouble()) / rate;
     }
@@ -60,10 +68,10 @@ std::vector<ChurnEvent> SampleChurnEvents(const ClusterSpec& initial,
       now = event.time;
       if (event.kind == ChurnEventKind::kHostJoin) {
         ++alive;
-      } else if (alive > options.min_hosts && event.host >= 0 && event.host < alive) {
+      } else if (alive > kMinHosts && event.host >= 0 && event.host < alive) {
         --alive;
       } else {
-        continue;  // A drain below min_hosts (or of a gone host) never fires.
+        continue;  // A drain below kMinHosts (or of a gone host) never fires.
       }
       events.push_back(event);
       continue;

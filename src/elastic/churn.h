@@ -53,9 +53,6 @@ struct ChurnOptions {
   // failure process is Poisson with rate (alive hosts / MTBF). <= 0
   // disables sampled failures (only `scheduled` events fire).
   double host_mtbf_seconds = 2.5 * 86400.0;
-  // Failures that would leave fewer than this many hosts are dropped from
-  // the stream (a dead cluster has nothing left to plan for).
-  int min_hosts = 1;
   uint64_t seed = 0x5eedULL;
   // Announced joins/drains, merged into the sampled failures by time.
   std::vector<ChurnEvent> scheduled;
@@ -64,8 +61,10 @@ struct ChurnOptions {
 // Samples the merged event stream over `options.horizon_seconds`:
 // exponential inter-arrival failures at the current alive-host count's
 // aggregate rate (the failing host uniform over the alive hosts), merged
-// in time order with the scheduled events. Purely a function of
-// (initial, options) — no wall clock, no global state.
+// in time order with the scheduled events. Failures and drains that would
+// leave no host alive are dropped (a dead cluster has nothing to plan
+// for). Purely a function of (initial, options) — no wall clock, no
+// global state.
 std::vector<ChurnEvent> SampleChurnEvents(const ClusterSpec& initial,
                                           const ChurnOptions& options);
 

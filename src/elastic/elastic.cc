@@ -18,6 +18,16 @@ namespace elastic {
 
 namespace {
 
+// Modeled downtime components (seconds), all deterministic.
+// Failures only: heartbeat detection + checkpoint restore.
+constexpr double kDetectionSeconds = 1.0;
+constexpr double kCheckpointRestoreSeconds = 30.0;
+// Plan switch when the new config's plan is already solved (speculative
+// hit, or a config this run solved before).
+constexpr double kWarmReplanSeconds = 0.5;
+// Full recompile sitting in the failover critical path.
+constexpr double kColdReplanSeconds = 30.0;
+
 double WallSeconds() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
       .count();
@@ -148,9 +158,8 @@ StatusOr<ElasticRunResult> RunElasticLoop(const Graph& graph, const ClusterSpec&
     // Planned events skip detection and restore: the job checkpoints at
     // the drain boundary and the old plan runs until the switch.
     epoch.downtime_seconds =
-        (event.announced() ? 0.0
-                           : elastic.detection_seconds + elastic.checkpoint_restore_seconds) +
-        (warm ? elastic.warm_replan_seconds : elastic.cold_replan_seconds);
+        (event.announced() ? 0.0 : kDetectionSeconds + kCheckpointRestoreSeconds) +
+        (warm ? kWarmReplanSeconds : kColdReplanSeconds);
     if (next.ok()) {
       solved.insert(fingerprint);
       epoch.pflops = SimulatedPflops(*next, graph, live.spec());

@@ -8,11 +8,11 @@
 // optionally through the speculative presolve cache (speculator.h) — and
 // accounts downtime and goodput per epoch.
 //
-// Downtime is MODELED with deterministic constants chosen by the (equally
-// deterministic) warm/cold policy, so goodput totals are bit-identical
-// across thread counts and reruns under a fixed seed; measured wall-clock
-// compile/failover times are reported alongside but excluded from the
-// determinism fingerprint.
+// Downtime is MODELED with deterministic constants (elastic.cc) chosen by
+// the (equally deterministic) warm/cold policy, so goodput totals are
+// bit-identical across thread counts and reruns under a fixed seed;
+// measured wall-clock compile/failover times are reported alongside but
+// excluded from the determinism fingerprint.
 #ifndef SRC_ELASTIC_ELASTIC_H_
 #define SRC_ELASTIC_ELASTIC_H_
 
@@ -38,16 +38,6 @@ struct ElasticOptions {
   // Background presolve workers. 0/1 = inline presolves (still the same
   // results; the thread count must never change any number).
   int threads = 0;
-
-  // --- Modeled downtime components (seconds), all deterministic. ---
-  // Failures only: heartbeat detection + checkpoint restore.
-  double detection_seconds = 1.0;
-  double checkpoint_restore_seconds = 30.0;
-  // Plan switch when the new config's plan is already solved (speculative
-  // hit, or a config this run solved before).
-  double warm_replan_seconds = 0.5;
-  // Full recompile sitting in the failover critical path.
-  double cold_replan_seconds = 30.0;
 };
 
 // One planning epoch: the interval between two cluster mutations.

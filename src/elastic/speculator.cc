@@ -13,6 +13,11 @@ namespace elastic {
 
 namespace {
 
+// Announced events further out than this are not worth presolving yet
+// (their plan would be recomputed closer to the event anyway); failure
+// likelihoods are taken over the same window.
+constexpr double kLookaheadSeconds = 86400.0;
+
 Metric* SpeculationsMetric() {
   static Metric* m = Metrics::Get("ilp.elastic.speculations");
   return m;
@@ -52,7 +57,7 @@ std::vector<CandidateConfig> EnumerateLikelyConfigs(const ClusterSpec& current,
   // before the next replan, the later ones re-speculate from there).
   for (const ChurnEvent& event : announced) {
     if (!event.announced() || event.time < now ||
-        event.time > now + options.lookahead_seconds) {
+        event.time > now + kLookaheadSeconds) {
       continue;
     }
     LiveCluster live(current);
@@ -66,7 +71,7 @@ std::vector<CandidateConfig> EnumerateLikelyConfigs(const ClusterSpec& current,
   // yield one candidate per distinct surviving mix.
   const double p_fail =
       host_mtbf_seconds > 0.0
-          ? 1.0 - std::exp(-options.lookahead_seconds / host_mtbf_seconds)
+          ? 1.0 - std::exp(-kLookaheadSeconds / host_mtbf_seconds)
           : 0.0;
   for (int host = 0; host < current.num_hosts; ++host) {
     ChurnEvent failure;

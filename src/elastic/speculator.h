@@ -41,9 +41,6 @@ namespace elastic {
 struct SpeculationOptions {
   // Max configurations presolved per Speculate() call.
   int k = 4;
-  // Announced events further out than this are not worth presolving yet
-  // (their plan would be recomputed closer to the event anyway).
-  double lookahead_seconds = 86400.0;
 };
 
 struct CandidateConfig {
@@ -53,9 +50,9 @@ struct CandidateConfig {
 };
 
 // The k most-likely next configurations reachable from `current`: every
-// announced event inside the lookahead window (likelihood 1), then each
-// alive host failing (likelihood 1 - exp(-lookahead/MTBF)). Candidates are
-// deduplicated by cluster fingerprint — on a homogeneous cluster every
+// announced event inside the one-day lookahead window (likelihood 1), then
+// each alive host failing (likelihood 1 - exp(-lookahead/MTBF)).
+// Candidates are deduplicated by cluster fingerprint — on a homogeneous cluster every
 // single-host failure shrinks to the SAME spec, so one presolve covers
 // them all, which is exactly why speculation is cheap in the common case.
 std::vector<CandidateConfig> EnumerateLikelyConfigs(const ClusterSpec& current,

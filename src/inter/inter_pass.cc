@@ -242,7 +242,6 @@ CompiledPipeline RunInterOpPass(Graph& graph, const ClusterSpec& cluster,
     TraceSpan clustering_span("operator_clustering");
     ClusteringOptions copts;
     copts.num_layers = options.target_layers;
-    copts.delta = options.clustering_delta;
     copts.method = options.clustering;
     const ClusteringResult clustering = ClusterOperators(graph, copts);
     if (clustering_span.active()) {

@@ -25,7 +25,6 @@ struct InterOpOptions {
   int num_microbatches = 16;
   // Operator clustering (Eq. 5). 0 keeps the builder-assigned layer tags.
   int target_layers = 8;
-  double clustering_delta = 0.5;
   ClusteringMethod clustering = ClusteringMethod::kDpCommBalanced;
   // "Equal layer" ablation (7.3): all stages get the same number of layers.
   bool equal_layer_stages = false;

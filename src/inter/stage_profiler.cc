@@ -87,18 +87,13 @@ StageProfiler::StageProfiler(const Graph& graph, const ClusterSpec& cluster,
   }
 
   // Structural dedup of identical layers, keyed on the 64-bit hash. The
-  // hashes double as memo-cache keys, so they are computed even when dedup
-  // is disabled.
+  // hashes double as memo-cache keys.
   dedup_layer_.resize(static_cast<size_t>(num_layers_));
   layer_hashes_.resize(static_cast<size_t>(num_layers_));
   std::unordered_map<uint64_t, int> first_seen;
   for (int l = 0; l < num_layers_; ++l) {
     const uint64_t hash = StructuralHash(layer_subgraphs_[static_cast<size_t>(l)].graph);
     layer_hashes_[static_cast<size_t>(l)] = hash;
-    if (!options_.dedup_identical_layers) {
-      dedup_layer_[static_cast<size_t>(l)] = l;
-      continue;
-    }
     auto [it, inserted] = first_seen.emplace(hash, l);
     dedup_layer_[static_cast<size_t>(l)] = it->second;
 #ifndef NDEBUG
@@ -143,7 +138,7 @@ StageProfiler::StageProfiler(const Graph& graph, const ClusterSpec& cluster,
   // meshes such as log(1,4) and log(4,1) build identical ILPs, and two
   // concurrent solves of one core both miss the core memo; listing the
   // layers inside each mesh keeps such pairs apart.
-  if (pool_ != nullptr && pool_->num_threads() > 1 && !options_.exact_intervals) {
+  if (pool_ != nullptr && pool_->num_threads() > 1) {
     // Category "pool": this span only exists when a pool drives the sweep,
     // so the "compile"-category span set stays identical across thread
     // counts (the determinism tests compare exactly that set).
@@ -213,8 +208,7 @@ void StageProfiler::SolveGroup(int canonical, int group, GroupCell* cell) {
   bool all_hit = true;
   for (size_t m = 0; m < num_modes; ++m) {
     const StageVariant& variant = variants_[first + m];
-    cacheable[m] = options_.use_ilp_cache &&
-                   ComputeIlpCacheKey(cluster_, variant.physical, variant.logical,
+    cacheable[m] = ComputeIlpCacheKey(cluster_, variant.physical, variant.logical,
                                       static_cast<int>(variant.mode), options_.intra,
                                       layer_hashes_[static_cast<size_t>(canonical)], &keys[m]);
     if (cacheable[m]) {
@@ -283,59 +277,6 @@ StageProfile StageProfiler::Profile(int begin, int end, int variant_index) {
   ALPA_CHECK_GE(begin, 0);
   ALPA_CHECK_LE(end, num_layers_ - 1);
   ALPA_CHECK_LE(begin, end);
-
-  if (options_.exact_intervals) {
-    const auto key = std::make_tuple(begin, end, variant_index);
-    {
-      std::lock_guard<std::mutex> lock(exact_mu_);
-      auto it = exact_cache_.find(key);
-      if (it != exact_cache_.end()) {
-        return it->second;
-      }
-    }
-    // Solve outside the lock so distinct intervals profile concurrently.
-    // Two threads may race to solve the same interval; the solver is
-    // deterministic, so both compute the same profile and either insert
-    // wins.
-    const double start = NowSeconds();
-    TraceSpan span("ilp_solve_exact");
-    if (span.active()) {
-      span.set_args(StrFormat("\"begin\":%d,\"end\":%d,\"variant\":%d", begin, end,
-                              variant_index));
-    }
-    const StageSubgraph subgraph = ExtractStage(graph_, begin, end);
-    const StageVariant& variant = variants_[static_cast<size_t>(variant_index)];
-    MeshPlacement placement;
-    placement.shape = variant.physical;
-    IntraOpOptions intra = options_.intra;
-    intra.solver.pool = pool_;
-    const DeviceMesh mesh = DeviceMesh::Create(cluster_, placement, variant.logical);
-    IntraOpProblem problem = BuildIntraOpProblem(subgraph.graph, mesh, intra);
-    static Metric* builds_metric = Metrics::Get("ilp/builds");
-    builds_metric->Add(1);
-    if (variant.mode != MemoryMode::kTimeOptimal) {
-      RestrictIntraOpProblem(subgraph.graph, mesh, intra, MemoryModeFilter(variant.mode),
-                             &problem);
-    }
-    const IntraOpResult result = SolveIntraOpProblem(subgraph.graph, mesh, problem, intra);
-    num_ilp_solves_.fetch_add(1, std::memory_order_relaxed);
-    static Metric* solves_metric = Metrics::Get("ilp/solves");
-    solves_metric->Add(1);
-    StageProfile profile;
-    if (result.feasible) {
-      profile.t_intra = result.t_intra;
-      profile.t_per_iteration = result.t_per_iteration;
-      profile.weight_bytes = result.weight_bytes;
-      profile.act_bytes_per_microbatch = result.act_bytes_per_microbatch;
-      profile.work_bytes = result.work_bytes;
-    }
-    AddProfilingSeconds(NowSeconds() - start);
-    {
-      std::lock_guard<std::mutex> lock(exact_mu_);
-      exact_cache_.emplace(key, profile);
-    }
-    return profile;
-  }
 
   StageProfile profile;
   profile.t_intra = 0.0;

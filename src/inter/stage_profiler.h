@@ -13,8 +13,6 @@
 // negligible and the profiling cost drops from O(L^2) to O(L) ILP solves).
 // The stage DP iterates over the expanded variant space, which lets it
 // trade execution time for memory (ZeRO-style sharding variants) per stage.
-// An exact mode that solves the full-interval ILP is available for
-// validation.
 //
 // Concurrency: the profiler is safe to call from multiple threads. Each
 // dedup-canonical (layer, mesh group) cell is guarded by a std::once_flag,
@@ -33,10 +31,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -67,18 +63,13 @@ enum class MemoryMode {
 // what kShardOptimizer keeps.
 AlgorithmFilter MemoryModeFilter(MemoryMode mode);
 
+// Structurally identical layers always share one solve (all transformer
+// blocks of a homogeneous model), and every solve without a custom
+// intra.filter goes through the process-wide IlpMemoCache.
 struct StageProfilerOptions {
   IntraOpOptions intra;
-  // Solve the full-interval ILP instead of composing per-layer solutions.
-  bool exact_intervals = false;
   // Include the memory-saving variants.
   bool memory_modes = true;
-  // Reuse ILP solutions across structurally identical layers (all
-  // transformer blocks of a homogeneous model share one solve).
-  bool dedup_identical_layers = true;
-  // Consult/populate the process-wide IlpMemoCache. Solves with a custom
-  // filter, forced choices, or solver seeds are never cached regardless.
-  bool use_ilp_cache = true;
 };
 
 // One point of the expanded profiling space.
@@ -160,8 +151,6 @@ class StageProfiler {
   int num_layers_ = 0;
   std::vector<StageSubgraph> layer_subgraphs_;
   std::vector<std::vector<GroupCell>> layer_cache_;  // [canonical layer][mesh group]
-  std::mutex exact_mu_;
-  std::map<std::tuple<int, int, int>, StageProfile> exact_cache_;
   std::atomic<int64_t> num_ilp_solves_{0};
   std::atomic<int64_t> cache_hits_{0};
   std::atomic<int64_t> cache_misses_{0};

@@ -17,11 +17,9 @@ bool IlpMemoCache::Lookup(const IlpCacheKey& key, IntraOpResult* result) {
   static Metric* hits_metric = Metrics::Get("ilp_cache/hits");
   static Metric* misses_metric = Metrics::Get("ilp_cache/misses");
   if (it == entries_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
     misses_metric->Add(1);
     return false;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
   hits_metric->Add(1);
   *result = it->second;
   return true;
@@ -34,11 +32,6 @@ void IlpMemoCache::Insert(const IlpCacheKey& key, const IntraOpResult& result) {
   size_metric->Set(static_cast<int64_t>(entries_.size()));
 }
 
-IlpCacheStats IlpMemoCache::stats() const {
-  return IlpCacheStats{hits_.load(std::memory_order_relaxed),
-                       misses_.load(std::memory_order_relaxed)};
-}
-
 size_t IlpMemoCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
@@ -48,8 +41,6 @@ void IlpMemoCache::Clear() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
-    hits_.store(0);
-    misses_.store(0);
   }
   // The solver's process-wide memo of presolved-core solutions backs the
   // same caching contract; benchmarks that clear this cache to measure a
@@ -61,8 +52,8 @@ bool ComputeIlpCacheKey(const ClusterSpec& cluster, const SubmeshShape& physical
                         std::array<int, 2> logical, int memory_mode,
                         const IntraOpOptions& options, uint64_t structural_hash,
                         IlpCacheKey* key) {
-  // Unhashable solver inputs: opaque closures and explicit overrides.
-  if (options.filter != nullptr || !options.forced_choice.empty()) {
+  // An opaque closure cannot be hashed.
+  if (options.filter != nullptr) {
     return false;
   }
   Fnv1a64 hasher;
@@ -90,7 +81,6 @@ bool ComputeIlpCacheKey(const ClusterSpec& cluster, const SubmeshShape& physical
   hasher.I32(static_cast<int32_t>(options.precision));
   hasher.I32(options.num_microbatches);
   hasher.Bool(options.rematerialize);
-  hasher.Double(options.activation_fraction);
   // The pool pointer is deliberately not hashed: results are identical
   // with or without one.
   hasher.I64(options.solver.max_search_nodes);

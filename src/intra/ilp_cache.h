@@ -11,9 +11,8 @@
 // A cache key captures everything a solve's outcome depends on: the layer
 // graph's structural hash, the alpha-beta constants of the cluster, the
 // physical/logical mesh shapes, the memory mode, and every IntraOpOptions
-// field that steers the solver. Solves carrying caller-provided closures
-// (plan-space filters, forced choices, external seeds) cannot be hashed and
-// are simply not cached.
+// field that steers the solver. Solves carrying a caller-provided
+// plan-space filter (a closure) cannot be hashed and are simply not cached.
 //
 // Thread safety: all methods are safe to call concurrently; the parallel
 // profiling sweep hits this cache from every worker.
@@ -21,7 +20,6 @@
 #define SRC_INTRA_ILP_CACHE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -38,25 +36,21 @@ struct IlpCacheKey {
   bool operator==(const IlpCacheKey&) const = default;
 };
 
-struct IlpCacheStats {
-  int64_t hits = 0;
-  int64_t misses = 0;
-};
-
 class IlpMemoCache {
  public:
   // The process-wide instance used by every profiler.
   static IlpMemoCache& Global();
 
-  // Returns true and fills `result` on a hit. Counts a miss otherwise.
+  // Returns true and fills `result` on a hit. Counts each lookup in the
+  // ilp_cache/hits or ilp_cache/misses metric.
   bool Lookup(const IlpCacheKey& key, IntraOpResult* result);
   // Inserts a solve; first write wins (all writers hold identical results
   // for a key, so which one lands is immaterial).
   void Insert(const IlpCacheKey& key, const IntraOpResult& result);
 
-  IlpCacheStats stats() const;
   size_t size() const;
-  // Drops all entries and zeroes the counters (tests, fair benchmarks).
+  // Drops all entries, and the solver's core memo with them (tests, fair
+  // benchmarks).
   void Clear();
 
  private:
@@ -68,15 +62,13 @@ class IlpMemoCache {
 
   mutable std::mutex mu_;
   std::unordered_map<IlpCacheKey, IntraOpResult, KeyHash> entries_;
-  std::atomic<int64_t> hits_{0};
-  std::atomic<int64_t> misses_{0};
 };
 
 // Builds the cache key for solving `structural_hash`'s graph on the given
 // submesh/logical shape under `memory_mode` (the stage profiler's enum,
 // passed as int to keep this header independent of it). Returns false when
-// the solve is ineligible for caching: a custom AlgorithmFilter, forced
-// choices, or pre-seeded solver state cannot be folded into a hash.
+// the solve is ineligible for caching: a custom AlgorithmFilter cannot be
+// folded into a hash.
 bool ComputeIlpCacheKey(const ClusterSpec& cluster, const SubmeshShape& physical,
                         std::array<int, 2> logical, int memory_mode,
                         const IntraOpOptions& options, uint64_t structural_hash,

@@ -43,6 +43,10 @@ double OpComputeTime(const Operator& op, int64_t shards, const DeviceSpec& devic
 
 namespace {
 
+// Fraction of a stage's *internal* forward activations that stay resident
+// despite rematerialization (dropout masks, small residuals).
+constexpr double kRematActivationFraction = 0.02;
+
 // ILP cost of running `op` with algorithm `a`. Per-iteration nodes amortize
 // over gradient accumulation; a vanishing memory tiebreak (~1e-10 s for a
 // 100 MB tensor) makes equal-time layouts prefer the sharded one, so free
@@ -509,7 +513,7 @@ IntraOpResult EvaluateChoice(const Graph& graph, const DeviceMesh& mesh,
     }
   }
   result.weight_bytes = weight;
-  const double internal_fraction = options.rematerialize ? options.activation_fraction : 1.0;
+  const double internal_fraction = options.rematerialize ? kRematActivationFraction : 1.0;
   result.act_bytes_per_microbatch = boundary_act + act * internal_fraction;
   result.work_bytes = 2.0 * work_max;
   result.feasible = true;
@@ -523,9 +527,6 @@ IntraOpResult SolveIntraOp(const Graph& graph, const DeviceMesh& mesh,
 
 IntraOpResult SolveIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
                                   const IntraOpProblem& problem, const IntraOpOptions& options) {
-  if (!options.forced_choice.empty()) {
-    return EvaluateChoice(graph, mesh, problem, options, options.forced_choice, false);
-  }
   IlpSolution solution = IlpSolver(options.solver).Solve(problem.ilp);
   if (!solution.feasible) {
     return IntraOpResult();

@@ -35,17 +35,11 @@ struct IntraOpOptions {
   // recomputed during backward (costing one extra forward pass). This flag
   // adds the recompute time and shrinks resident activations accordingly.
   bool rematerialize = true;
-  // Fraction of *internal* forward activations that stay resident despite
-  // remat (dropout masks, small residuals).
-  double activation_fraction = 0.02;
   // Gradient-accumulation steps the gradient-synchronization and
   // weight-update costs amortize over (7.1: "GA amortizes the communication
   // of data parallelism ... while the communication of TMP grows linearly
   // with GA steps"). The ILP objective divides per-iteration costs by this.
   int num_microbatches = 1;
-  // Force a specific choice per decision node instead of solving (used to
-  // evaluate hand-constructed plans); empty = solve.
-  std::vector<int> forced_choice;
 };
 
 // The fully annotated problem: decision nodes, their algorithm menus, and
@@ -112,8 +106,8 @@ IntraOpResult SolveIntraOp(const Graph& graph, const DeviceMesh& mesh,
 IntraOpResult SolveIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
                                   const IntraOpProblem& problem, const IntraOpOptions& options);
 
-// Evaluates a specific choice vector on a prebuilt problem (used both by
-// SolveIntraOp and by baselines with hand-constructed plans).
+// Evaluates a specific choice vector on a prebuilt problem (the solve's
+// result, or a hand-constructed plan).
 IntraOpResult EvaluateChoice(const Graph& graph, const DeviceMesh& mesh,
                              const IntraOpProblem& problem, const IntraOpOptions& options,
                              std::vector<int> choice, bool optimal);

@@ -1,7 +1,9 @@
 #include "src/mesh/cluster_spec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "src/support/logging.h"
 #include "src/support/strings.h"
@@ -56,6 +58,45 @@ ClusterSpec ClusterSpec::MixedGeneration(int num_base_hosts, int num_fast_hosts,
   spec.host_devices.assign(static_cast<size_t>(num_base_hosts), spec.device);
   spec.host_devices.insert(spec.host_devices.end(), static_cast<size_t>(num_fast_hosts), fast);
   return spec;
+}
+
+Status ClusterSpec::Validate() const {
+  if (num_hosts < 1 || devices_per_host < 1) {
+    return Status::InvalidArgument(
+        StrFormat("cluster num_hosts and devices_per_host must be >= 1, got %d and %d",
+                  num_hosts, devices_per_host));
+  }
+  if (!host_devices.empty() && host_devices.size() != static_cast<size_t>(num_hosts)) {
+    return Status::InvalidArgument(StrFormat("cluster has %zu host_devices entries for %d hosts",
+                                             host_devices.size(), num_hosts));
+  }
+  // `name` > 0 (or >= 0 when zero is allowed), and finite: NaN fails both.
+  const auto check = [](const std::string& name, double value, bool allow_zero) {
+    if (std::isfinite(value) && (value > 0.0 || (allow_zero && value == 0.0))) {
+      return Status::Ok();
+    }
+    return Status::InvalidArgument(StrFormat("cluster %s must be finite and %s 0, got %g",
+                                             name.c_str(), allow_zero ? ">=" : ">", value));
+  };
+  const auto check_device = [&check](const std::string& name, const DeviceSpec& d) {
+    const std::pair<const char*, double> fields[] = {
+        {"peak_flops_fp16", d.peak_flops_fp16},   {"peak_flops_fp32", d.peak_flops_fp32},
+        {"memory_bytes", d.memory_bytes},         {"memory_bandwidth", d.memory_bandwidth},
+        {"compute_efficiency", d.compute_efficiency}};
+    for (const auto& [field, value] : fields) {
+      ALPA_RETURN_IF_ERROR(check(name + "." + field, value, /*allow_zero=*/false));
+    }
+    return Status::Ok();
+  };
+  ALPA_RETURN_IF_ERROR(check_device("device", device));
+  for (size_t h = 0; h < host_devices.size(); ++h) {
+    ALPA_RETURN_IF_ERROR(check_device(StrFormat("host_devices[%zu]", h), host_devices[h]));
+  }
+  ALPA_RETURN_IF_ERROR(check("intra_host_bandwidth", intra_host_bandwidth, false));
+  ALPA_RETURN_IF_ERROR(check("inter_host_bandwidth", inter_host_bandwidth, false));
+  ALPA_RETURN_IF_ERROR(check("intra_host_alpha", intra_host_alpha, /*allow_zero=*/true));
+  ALPA_RETURN_IF_ERROR(check("inter_host_alpha", inter_host_alpha, true));
+  return Status::Ok();
 }
 
 bool ClusterSpec::heterogeneous() const {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/mesh/fault_spec.h"
+#include "src/support/status.h"
 
 namespace alpa {
 
@@ -87,6 +88,14 @@ struct ClusterSpec {
   FaultSpec faults;
 
   int num_devices() const { return num_hosts * devices_per_host; }
+
+  // kInvalidArgument unless the cluster can be priced: both extents >= 1;
+  // every rate, capacity and efficiency of `device` and of each
+  // `host_devices` entry finite and > 0; both bandwidths finite and > 0;
+  // both alphas finite and >= 0; `host_devices` empty or one per host.
+  // Parallelize() checks this before compiling. The fault scenario is not
+  // checked.
+  Status Validate() const;
 
   // True when per-host overrides are present and at least one host differs
   // from the reference generation.

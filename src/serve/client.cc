@@ -60,7 +60,6 @@ ServeRequest BuildRequest(Method method, const PlanRequest& request) {
   wire_request.options = request.options;
   wire_request.options.profile_source = nullptr;
   wire_request.options.trace_path.clear();
-  wire_request.options.compile_threads = ParallelizeOptions::kInheritThreads;
   wire_request.graph = request.graph;
   wire_request.cluster = request.cluster;
   return wire_request;

@@ -471,8 +471,8 @@ void PlanCache::Clear(bool also_disk) {
 bool ComputePlanCacheKey(const Graph& graph, const ClusterSpec& cluster,
                          const ParallelizeOptions& options, PlanCacheKey* key) {
   const IntraOpOptions& intra = options.inter.profiler.intra;
-  // Closures and explicit overrides cannot be folded into a hash.
-  if (intra.filter != nullptr || !intra.forced_choice.empty()) {
+  // A closure cannot be folded into a hash.
+  if (intra.filter != nullptr) {
     return false;
   }
   // A profile source without a stable fingerprint makes the compile
@@ -498,7 +498,9 @@ bool ComputePlanCacheKey(const Graph& graph, const ClusterSpec& cluster,
   // Config: full cluster (extent + faults, via the wire encoding) and
   // every plain option field that steers compilation. compile_threads and
   // trace_path are deliberately excluded: both are guaranteed
-  // plan-invariant (PlanEquals determinism, PR 1).
+  // plan-invariant (PlanEquals determinism). So are the fields Parallelize
+  // overwrites before they are read: intra.precision (inferred from the
+  // parameters) and intra.num_microbatches (set from inter's).
   Fnv1a64 hasher;
   {
     WireWriter w;
@@ -512,25 +514,17 @@ bool ComputePlanCacheKey(const Graph& graph, const ClusterSpec& cluster,
   const InterOpOptions& inter = options.inter;
   hasher.I32(inter.num_microbatches);
   hasher.I32(inter.target_layers);
-  hasher.Double(inter.clustering_delta);
   hasher.I32(static_cast<int32_t>(inter.clustering));
   hasher.Bool(inter.equal_layer_stages);
-  hasher.Double(inter.dp.epsilon);
-  hasher.I32(inter.dp.max_stages);
+  hasher.Bool(inter.hetero_aware);
   hasher.Double(inter.dp.device_memory_override);
   hasher.I32(inter.dp.max_tmax_candidates);
   hasher.I32(static_cast<int32_t>(inter.submesh_shapes.size()));
   for (const SubmeshShape& shape : inter.submesh_shapes) {
     hasher.I32(shape.num_hosts).I32(shape.devices_per_host);
   }
-  hasher.Bool(inter.profiler.exact_intervals);
   hasher.Bool(inter.profiler.memory_modes);
-  hasher.Bool(inter.profiler.dedup_identical_layers);
-  hasher.Bool(inter.profiler.use_ilp_cache);
-  hasher.I32(static_cast<int32_t>(intra.precision));
   hasher.Bool(intra.rematerialize);
-  hasher.Double(intra.activation_fraction);
-  hasher.I32(intra.num_microbatches);
   hasher.I64(intra.solver.max_search_nodes);
   hasher.I64(intra.solver.max_elimination_table);
   hasher.Bool(intra.solver.use_core_memo);

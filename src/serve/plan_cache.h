@@ -14,11 +14,12 @@
 // finalized ParallelizeOptions that steers compilation, plus the active
 // profile_source fingerprint. Thread counts and trace paths are excluded:
 // both are guaranteed not to change the plan (PlanEquals determinism).
+// So are the intra-op precision and microbatch count, which Parallelize
+// overwrites before any pass reads them.
 //
-// Uncacheable compiles: options carrying closures (AlgorithmFilter,
-// forced_choice, solver seeds) or a ProfileSource without a stable
-// Fingerprint() cannot be hashed; ComputePlanCacheKey returns false and
-// the compile simply runs.
+// Uncacheable compiles: options carrying a closure (an AlgorithmFilter) or
+// a ProfileSource without a stable Fingerprint() cannot be hashed;
+// ComputePlanCacheKey returns false and the compile simply runs.
 //
 // Single-flight. N concurrent cold requests for one key must compile once:
 // JoinFlight() atomically either hits the cache, joins an in-flight
@@ -185,9 +186,9 @@ class PlanCache {
 
 // Builds the cache key for compiling `graph` on `cluster` under `options`
 // (which must already be Finalize()d so the mirror fields are resolved).
-// Returns false when the compile is ineligible for caching: closures
-// (filter, forced choices, solver seeds) or a profile_source with no
-// stable fingerprint cannot be hashed.
+// Returns false when the compile is ineligible for caching: a closure
+// (intra.filter) or a profile_source with no stable fingerprint cannot be
+// hashed.
 bool ComputePlanCacheKey(const Graph& graph, const ClusterSpec& cluster,
                          const ParallelizeOptions& options, PlanCacheKey* key);
 

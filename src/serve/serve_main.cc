@@ -12,11 +12,14 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <optional>
+#include <string>
 #include <thread>
+#include <type_traits>
 
 #include "src/serve/server.h"
+#include "src/support/strings.h"
 
 namespace {
 
@@ -34,56 +37,65 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+// Stores `value` in `*out` when it is one non-negative number within T's
+// range and nothing else; false otherwise ("sixty" is not 0, "10k" is not
+// 10).
+template <typename T>
+bool ParseInto(const char* value, T* out) {
+  std::optional<T> parsed;
+  if constexpr (std::is_floating_point_v<T>) {
+    parsed = alpa::ParseNonNegativeDouble(value);
+  } else if (const auto v = alpa::ParseNonNegativeInt(value, std::numeric_limits<T>::max())) {
+    parsed = static_cast<T>(*v);
+  }
+  if (parsed.has_value()) {
+    *out = *parsed;
+  }
+  return parsed.has_value();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   alpa::serve::ServerOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.socket_path = v;
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.num_workers = std::atoi(v);
-    } else if (arg == "--cache-dir") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.plan_cache_dir = v;
-    } else if (arg == "--cache-max-entries") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.cache_max_entries = std::atoll(v);
-    } else if (arg == "--cache-max-bytes") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.cache_max_bytes = std::atoll(v);
-    } else if (arg == "--max-queue") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.max_queue = std::atoi(v);
-    } else if (arg == "--max-per-tenant") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.max_per_tenant = std::atoi(v);
-    } else if (arg == "--deadline") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.default_deadline_seconds = std::atof(v);
-    } else if (arg == "--admin-tenant") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.admin_tenant = v;
-    } else if (arg == "--elastic") {
+    if (arg == "--elastic") {
       options.elastic = true;
+      continue;
+    }
+    // Every other flag takes a value.
+    if (i + 1 >= argc) {
+      return Usage(argv[0]);
+    }
+    const char* value = argv[++i];
+    bool valid = true;
+    if (arg == "--socket") {
+      options.socket_path = value;
+    } else if (arg == "--workers") {
+      valid = ParseInto(value, &options.num_workers);
+    } else if (arg == "--cache-dir") {
+      options.plan_cache_dir = value;
+    } else if (arg == "--cache-max-entries") {
+      valid = ParseInto(value, &options.cache_max_entries);
+    } else if (arg == "--cache-max-bytes") {
+      valid = ParseInto(value, &options.cache_max_bytes);
+    } else if (arg == "--max-queue") {
+      valid = ParseInto(value, &options.max_queue);
+    } else if (arg == "--max-per-tenant") {
+      valid = ParseInto(value, &options.max_per_tenant);
+    } else if (arg == "--deadline") {
+      valid = ParseInto(value, &options.default_deadline_seconds);
+    } else if (arg == "--admin-tenant") {
+      options.admin_tenant = value;
     } else if (arg == "--speculate-k") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.speculate_k = std::atoi(v);
+      valid = ParseInto(value, &options.speculate_k);
     } else {
+      return Usage(argv[0]);
+    }
+    if (!valid) {
+      std::fprintf(stderr, "%s: invalid %s value '%s' (want a non-negative number)\n", argv[0],
+                   arg.c_str(), value);
       return Usage(argv[0]);
     }
   }

@@ -22,6 +22,10 @@ namespace serve {
 
 namespace {
 
+// Per-host hazard rate used to rank speculative candidate configurations
+// (any positive value only orders them; it does not gate speculation).
+constexpr double kSpeculateMtbfSeconds = 2.5 * 86400.0;
+
 double NowSeconds() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
       .count();
@@ -449,7 +453,7 @@ void PlanServer::SpeculateAfter(InProcessPlanService& service, const PlanRequest
   elastic::SpeculationOptions spec;
   spec.k = options_.speculate_k > 0 ? options_.speculate_k : 1;
   const std::vector<elastic::CandidateConfig> candidates = elastic::EnumerateLikelyConfigs(
-      base.cluster, /*announced=*/{}, /*now=*/0.0, options_.speculate_mtbf_seconds, spec);
+      base.cluster, /*announced=*/{}, /*now=*/0.0, kSpeculateMtbfSeconds, spec);
   for (const elastic::CandidateConfig& candidate : candidates) {
     if (!running_.load(std::memory_order_relaxed)) {
       return;  // Shutdown: stop burning the worker on background work.

@@ -72,9 +72,6 @@ struct ServerOptions {
   // machinery, so they never duplicate a client compile in progress.
   bool elastic = false;
   int speculate_k = 4;
-  // Hazard rate used to rank candidate configurations (any positive value
-  // only orders them; it does not gate speculation).
-  double speculate_mtbf_seconds = 2.5 * 86400.0;
 };
 
 struct ServerStats {

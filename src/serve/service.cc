@@ -31,7 +31,7 @@ StatusOr<ParallelizeOptions> PlanRequestOptions::ToParallelizeOptions() const {
   options.enable_interop = enable_interop;
   options.enable_intraop = enable_intraop;
   options.reshard = reshard;
-  options.compile_threads = compile_threads;
+  options.inter.compile_threads = compile_threads;
   options.trace_path = trace_path;
   if (num_microbatches > 0) {
     options.inter.num_microbatches = num_microbatches;

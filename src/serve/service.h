@@ -63,7 +63,9 @@ struct PlanRequestOptions {
   bool use_plan_cache = true;
 
   // --- Local-only (never serialized) ---
-  int compile_threads = ParallelizeOptions::kInheritThreads;
+  // Compilation worker threads (1 = serial, 0 = hardware concurrency);
+  // lowers into inter.compile_threads. Plans are identical for any value.
+  int compile_threads = 1;
   // Measured-profile override (see src/inter/profile_feedback.h). Not
   // owned; must outlive the call. A source without a stable Fingerprint()
   // makes the request uncacheable.

@@ -11,6 +11,12 @@
 namespace alpa {
 namespace {
 
+// Base of the per-chain SplitMix64 streams.
+constexpr uint64_t kAnnealSeed = 0x414e4e45414cULL;  // "ANNEAL"
+// The schedule cools geometrically from T0 (calibrated) down to
+// T0 * kFinalTemperatureRatio across the chain's steps.
+constexpr double kFinalTemperatureRatio = 1e-4;
+
 // Exact objective change of re-assigning v from its current choice to j,
 // given the rest of the assignment.
 double MoveDelta(const FlatCore& f, const std::vector<int>& choice, int v, int j) {
@@ -32,8 +38,7 @@ struct ChainResult {
 };
 
 ChainResult RunChain(const FlatCore& f, const std::vector<int>& start, double start_value,
-                     uint64_t seed, int64_t steps, double final_ratio,
-                     const std::vector<int>& movable) {
+                     uint64_t seed, int64_t steps, const std::vector<int>& movable) {
   Rng rng(seed);
   ChainResult r;
   std::vector<int> current = start;
@@ -62,7 +67,7 @@ ChainResult RunChain(const FlatCore& f, const std::vector<int>& start, double st
   }
   const double t0 = sampled > 0 ? std::max(abs_sum / sampled, 1e-12) : 1e-12;
   const double rate =
-      steps > 1 ? std::pow(final_ratio, 1.0 / static_cast<double>(steps - 1)) : 1.0;
+      steps > 1 ? std::pow(kFinalTemperatureRatio, 1.0 / static_cast<double>(steps - 1)) : 1.0;
 
   double temperature = t0;
   for (int64_t s = 0; s < steps; ++s, temperature *= rate) {
@@ -123,8 +128,8 @@ AnnealResult RunAnneal(const FlatCore& f, const std::vector<int>& start,
   std::vector<ChainResult> results(static_cast<size_t>(chains));
   ParallelFor(options.pool, chains, [&](int64_t c) {
     results[static_cast<size_t>(c)] =
-        RunChain(f, start, best.objective, options.seed + static_cast<uint64_t>(c),
-                 options.steps_per_chain, options.final_temperature_ratio, movable);
+        RunChain(f, start, best.objective, kAnnealSeed + static_cast<uint64_t>(c),
+                 options.steps_per_chain, movable);
   });
 
   // Deterministic reduce in chain order, first-wins on value ties.

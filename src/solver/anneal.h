@@ -9,7 +9,7 @@
 // schedule T_{k+1} = rate * T_k. The initial temperature is calibrated
 // from the mean absolute delta of a deterministic pre-sample so the
 // schedule adapts to the problem's cost scale. Chain c draws from its own
-// SplitMix64 stream seeded by (seed + c): every chain is a pure function
+// SplitMix64 stream seeded by (a fixed base + c): every chain is a pure function
 // of (core, start, options), the fan-out over the pool reduces in chain
 // order (first-wins on value ties), and the result is bit-identical for
 // any thread count.
@@ -31,11 +31,6 @@ struct AnnealOptions {
   int chains = 4;
   // Proposed moves per chain (accepted or not; each costs O(degree)).
   int64_t steps_per_chain = 20'000;
-  // Base of the per-chain SplitMix64 streams.
-  uint64_t seed = 0x414e4e45414cULL;  // "ANNEAL"
-  // The schedule cools geometrically from T0 (calibrated) down to
-  // T0 * final_temperature_ratio across the chain's steps.
-  double final_temperature_ratio = 1e-4;
   // Optional pool for the chain fan-out. Results are identical with or
   // without it.
   ThreadPool* pool = nullptr;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/solver/flat_core.h"
-#include "src/support/logging.h"
 #include "src/support/thread_pool.h"
 
 namespace alpa {
@@ -252,18 +251,8 @@ FlatSearchResult SolveCoreOnFlat(const FlatCore& f, const FlatSearchOptions& opt
   result.choice.assign(static_cast<size_t>(f.n), 0);
   result.objective = 0.0;
 
-  // Incumbent candidates: the ICM-polished argmin start, plus every valid
-  // caller-provided assignment after the same polish.
-  std::vector<std::vector<int>> candidates;
-  candidates.push_back(FlatIcm(f, ArgminStart(f)));
-  for (const std::vector<int>& seed : options.incumbents) {
-    if (static_cast<int>(seed.size()) != f.n) continue;
-    bool ok = true;
-    for (int v = 0; v < f.n && ok; ++v) {
-      ok = seed[static_cast<size_t>(v)] >= 0 && seed[static_cast<size_t>(v)] < f.K(v);
-    }
-    if (ok) candidates.push_back(FlatIcm(f, seed));
-  }
+  // The initial incumbent: the ICM-polished per-node argmin start.
+  const std::vector<int> start = FlatIcm(f, ArgminStart(f));
 
   const int64_t budget_per_comp =
       std::max<int64_t>(1, options.budget / static_cast<int64_t>(f.comps.size()));
@@ -273,17 +262,8 @@ FlatSearchResult SolveCoreOnFlat(const FlatCore& f, const FlatSearchOptions& opt
   for (const std::vector<int>& comp : f.comps) {
     base.InitComponent(comp);
 
-    // Component-local incumbent: best candidate restricted to this
-    // component (first-wins on ties).
-    double inc_val = kInf;
-    const std::vector<int>* inc = nullptr;
-    for (const std::vector<int>& cand : candidates) {
-      const double val = ComponentValue(f, comp, cand);
-      if (val < inc_val) {
-        inc_val = val;
-        inc = &cand;
-      }
-    }
+    // Component-local incumbent: the start restricted to this component.
+    const double inc_val = ComponentValue(f, comp, start);
 
     // Root-level branching: every surviving root choice becomes an
     // independent search with a fixed budget slice and the incumbent as its
@@ -302,7 +282,7 @@ FlatSearchResult SolveCoreOnFlat(const FlatCore& f, const FlatSearchOptions& opt
         static_cast<int64_t>(scored.size()) - static_cast<int64_t>(tasks.size());
 
     double comp_obj = inc_val;
-    const std::vector<int>* comp_choice_src = inc;
+    const std::vector<int>* comp_choice_src = &start;
     std::vector<int> comp_choice_owned;
     bool comp_aborted = false;
     double comp_lb = inc_val;
@@ -395,7 +375,6 @@ FlatSearchResult SolveCoreOnFlat(const FlatCore& f, const FlatSearchOptions& opt
       }
     }
 
-    ALPA_CHECK(comp_choice_src != nullptr);
     for (int v : comp) {
       result.choice[static_cast<size_t>(v)] = (*comp_choice_src)[static_cast<size_t>(v)];
     }

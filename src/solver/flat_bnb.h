@@ -43,11 +43,6 @@ struct FlatSearchOptions {
   // Optional pool for root-level parallel branching. Results are identical
   // with or without it.
   ThreadPool* pool = nullptr;
-  // Candidate assignments (core-compact choice indices, full length) used
-  // as incumbents after an ICM polish; the per-node argmin start is always
-  // added internally. A tight incumbent bounds the search from its first
-  // node (portfolio_test measures the pruning it buys).
-  std::vector<std::vector<int>> incumbents;
 };
 
 struct FlatSearchResult {
@@ -61,9 +56,9 @@ struct FlatSearchResult {
   // components, of min(component objective, weakest unexplored root-branch
   // bound). (objective - lower_bound) is the absolute optimality gap.
   double lower_bound = 0.0;
-  // Root choices whose pre-push bound already exceeded the incumbent value,
-  // so their whole subtree was pruned before any search. A tight incumbent
-  // (e.g. from the portfolio's metaheuristics) shows up here first.
+  // Root choices whose pre-push bound already exceeded the initial
+  // incumbent's value (the ICM-polished per-node argmin start), so their
+  // whole subtree was pruned before any search.
   int64_t root_branches_pruned = 0;
 };
 

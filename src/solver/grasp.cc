@@ -12,6 +12,13 @@
 namespace alpa {
 namespace {
 
+// Base of the per-restart SplitMix64 streams.
+constexpr uint64_t kGraspSeed = 0x4752415350ULL;  // "GRASP"
+// Restricted-candidate-list width: a choice joins the list when its
+// conditioned cost is within kRclAlpha * (max - min) of the minimum.
+// 0 = pure greedy (ties still sampled), 1 = uniform over all feasible.
+constexpr double kRclAlpha = 0.3;
+
 // Fixed construction order: descending degree (high-degree nodes decided
 // first, while the candidate lists are still cheap to condition), ties by
 // ascending id. One order for every restart keeps restarts comparable;
@@ -35,9 +42,8 @@ struct RestartResult {
 };
 
 // One randomized greedy construction + ICM polish, fully determined by
-// (f, order, seed, alpha).
-RestartResult RunRestart(const FlatCore& f, const std::vector<int>& order, uint64_t seed,
-                         double alpha) {
+// (f, order, seed).
+RestartResult RunRestart(const FlatCore& f, const std::vector<int>& order, uint64_t seed) {
   Rng rng(seed);
   RestartResult r;
   std::vector<int> choice(static_cast<size_t>(f.n), 0);
@@ -81,7 +87,7 @@ RestartResult RunRestart(const FlatCore& f, const std::vector<int>& order, uint6
     // linearly from 2 (at the conditioned minimum) to 1 (at the list's
     // threshold), so cheap choices are favored but the tail stays alive.
     const double width = mx - mn;
-    const double threshold = mn + alpha * width;
+    const double threshold = mn + kRclAlpha * width;
     rcl.clear();
     weight.clear();
     double total = 0.0;
@@ -130,8 +136,7 @@ GraspResult RunGrasp(const FlatCore& f, const GraspOptions& options) {
 
   std::vector<RestartResult> results(static_cast<size_t>(restarts));
   ParallelFor(options.pool, restarts, [&](int64_t r) {
-    results[static_cast<size_t>(r)] = RunRestart(
-        f, order, options.seed + static_cast<uint64_t>(r), options.rcl_alpha);
+    results[static_cast<size_t>(r)] = RunRestart(f, order, kGraspSeed + static_cast<uint64_t>(r));
   });
 
   // Deterministic reduce in restart order, first-wins on value ties.

@@ -4,12 +4,12 @@
 // Each restart builds a full assignment greedily with randomized choices:
 // nodes are visited in a fixed order (descending degree, ties by id); each
 // node's choices are conditioned on the already-assigned neighbors, a
-// restricted candidate list keeps every choice within `rcl_alpha` of the
-// conditioned minimum, and one entry is sampled cost-weighted from the
-// list. The construction is then polished by the shared dirty-worklist ICM
-// local search (flat_core.h). Restart r draws from its own SplitMix64
-// stream seeded by (seed + r), so the set of constructions is a pure
-// function of (core, options) — independent of the thread pool the
+// restricted candidate list keeps every choice within a fixed fraction of
+// the conditioned cost range above its minimum, and one entry is sampled
+// cost-weighted from the list. The construction is then polished by the
+// shared dirty-worklist ICM local search (flat_core.h). Restart r draws
+// from its own SplitMix64 stream seeded by (a fixed base + r), so the set
+// of constructions is a pure function of (core, options) — independent of the thread pool the
 // restarts fan out on, of execution order, and of every other engine in
 // the portfolio. The reduce keeps the best (value, restart index) pair,
 // first-wins on ties, matching the deterministic-reduce discipline of the
@@ -30,12 +30,6 @@ struct GraspOptions {
   // Number of randomized constructions. Each runs independently (fanned
   // out over `pool` when provided) and is deterministic in its index.
   int restarts = 16;
-  // Base of the per-restart SplitMix64 streams.
-  uint64_t seed = 0x4752415350ULL;  // "GRASP"
-  // Restricted-candidate-list width: a choice joins the list when its
-  // conditioned cost is within alpha * (max - min) of the minimum.
-  // 0 = pure greedy (ties still sampled), 1 = uniform over all feasible.
-  double rcl_alpha = 0.3;
   // Optional pool for the restart fan-out. Results are identical with or
   // without it.
   ThreadPool* pool = nullptr;

@@ -11,6 +11,9 @@ namespace alpa {
 
 namespace {
 
+// Minimum spacing of enumerated t_max values (the epsilon of 5.2).
+constexpr double kTmaxEpsilon = 1e-6;
+
 struct DpTables {
   // f[s][k][d]: min sum of stage latencies slicing layers [k, L) into s
   // stages on exactly d devices, each stage latency <= t_max and memory
@@ -43,10 +46,7 @@ StageDpResult SolveStageDp(int num_layers, int num_microbatches, const ClusterSp
   const double device_memory = options.device_memory_override > 0.0
                                    ? options.device_memory_override
                                    : cluster.device.memory_bytes;
-  int max_stages = std::min(num_layers, total_devices);
-  if (options.max_stages > 0) {
-    max_stages = std::min(max_stages, options.max_stages);
-  }
+  const int max_stages = std::min(num_layers, total_devices);
 
   StageDpResult result;
 
@@ -133,7 +133,7 @@ StageDpResult SolveStageDp(int num_layers, int num_microbatches, const ClusterSp
 
   double last_tmax = -kInfCost;
   for (double tmax : tmax_candidates) {
-    if (tmax - last_tmax < options.epsilon) {
+    if (tmax - last_tmax < kTmaxEpsilon) {
       continue;  // Optimization #1b: skip near-duplicate thresholds.
     }
     last_tmax = tmax;
@@ -156,7 +156,7 @@ StageDpResult SolveStageDp(int num_layers, int num_microbatches, const ClusterSp
             const double t_eff = effective(p);
             // Epsilon tolerance pairs with the candidate skip above and
             // keeps the B*epsilon optimality bound of 5.2.
-            if (!(t_eff <= tmax + options.epsilon)) {
+            if (!(t_eff <= tmax + kTmaxEpsilon)) {
               continue;
             }
             // The stage being placed is the s-th from the pipeline end, so

@@ -45,8 +45,6 @@ struct StageAssignment {
 };
 
 struct StageDpOptions {
-  double epsilon = 1e-6;  // Minimum spacing of enumerated t_max values.
-  int max_stages = 0;     // 0 = no cap beyond #layers / #devices.
   // Override the per-device memory capacity used for feasibility (0 = the
   // cluster's). Benchmarks set this to infinity to let plans compile and
   // report OOM from the simulator instead (the "x" marks of Fig. 8/9).

@@ -1,5 +1,7 @@
 #include "src/support/strings.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -52,6 +54,26 @@ std::string HumanSeconds(double seconds) {
 std::string HumanFlops(double flops) {
   static const char* const kSuffixes[] = {"FLOP", "KFLOP", "MFLOP", "GFLOP", "TFLOP", "PFLOP"};
   return WithSuffix(flops, 1000.0, kSuffixes, 6);
+}
+
+std::optional<int64_t> ParseNonNegativeInt(std::string_view text, int64_t max) {
+  int64_t value = -1;
+  const char* end = text.data() + text.size();
+  const auto [parsed_end, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || parsed_end != end || value < 0 || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> ParseNonNegativeDouble(std::string_view text) {
+  double value = -1.0;
+  const char* end = text.data() + text.size();
+  const auto [parsed_end, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || parsed_end != end || !std::isfinite(value) || !(value >= 0.0)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace alpa

@@ -3,8 +3,12 @@
 #ifndef SRC_SUPPORT_STRINGS_H_
 #define SRC_SUPPORT_STRINGS_H_
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace alpa {
@@ -35,6 +39,14 @@ std::string HumanSeconds(double seconds);
 
 // Formats a FLOP count, e.g. "2.40 TFLOP".
 std::string HumanFlops(double flops);
+
+// Strict command-line number parsing: `text` must be one non-negative
+// decimal number and nothing else. "sixty", "10k", "4x", "-1", "" and
+// values above `max` give nullopt instead of atoi's silent 0 or prefix.
+std::optional<int64_t> ParseNonNegativeInt(std::string_view text,
+                                           int64_t max = std::numeric_limits<int64_t>::max());
+// The same for a finite double ("0.5", "2e-3"); "inf" and "nan" fail too.
+std::optional<double> ParseNonNegativeDouble(std::string_view text);
 
 }  // namespace alpa
 

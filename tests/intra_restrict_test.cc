@@ -153,7 +153,6 @@ std::vector<StageSubgraph> CanonicalLayers(Graph graph, int target_layers) {
   const InterOpOptions defaults;
   ClusteringOptions copts;
   copts.num_layers = target_layers;
-  copts.delta = defaults.clustering_delta;
   copts.method = defaults.clustering;
   const ClusteringResult clustering = ClusterOperators(graph, copts);
   EXPECT_TRUE(clustering.feasible);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/mesh/cluster_spec.h"
 #include "src/mesh/device_mesh.h"
@@ -24,6 +29,46 @@ TEST(ClusterSpec, Precision) {
   DeviceSpec device;
   EXPECT_GT(device.PeakFlops(Precision::kFloat16), device.PeakFlops(Precision::kFloat32));
   EXPECT_LT(device.EffectiveFlops(Precision::kFloat16), device.PeakFlops(Precision::kFloat16));
+}
+
+TEST(ClusterSpec, ValidateAcceptsPresetsAndZeroLatency) {
+  EXPECT_TRUE(ClusterSpec::AwsP3(8).Validate().ok());
+  EXPECT_TRUE(ClusterSpec::MixedGeneration(2, 2, 2, DeviceSpec::H100()).Validate().ok());
+  ClusterSpec zero_alpha = ClusterSpec::AwsP3(2, 2);
+  zero_alpha.intra_host_alpha = 0.0;
+  zero_alpha.inter_host_alpha = 0.0;
+  EXPECT_TRUE(zero_alpha.Validate().ok());
+}
+
+TEST(ClusterSpec, ValidateRejectsEachMalformedField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, std::function<void(ClusterSpec&)>>> cases = {
+      {"num_hosts", [](ClusterSpec& c) { c.num_hosts = 0; }},
+      {"devices_per_host", [](ClusterSpec& c) { c.devices_per_host = -1; }},
+      {"host_devices", [](ClusterSpec& c) { c.host_devices.resize(1); }},
+      {"peak_flops_fp16", [](ClusterSpec& c) { c.device.peak_flops_fp16 = -1e14; }},
+      {"peak_flops_fp32", [&](ClusterSpec& c) { c.device.peak_flops_fp32 = nan; }},
+      {"memory_bytes", [](ClusterSpec& c) { c.device.memory_bytes = 0.0; }},
+      {"memory_bandwidth", [&](ClusterSpec& c) { c.device.memory_bandwidth = inf; }},
+      {"compute_efficiency", [](ClusterSpec& c) { c.device.compute_efficiency = 0.0; }},
+      {"host_devices[1].peak_flops_fp16",
+       [&](ClusterSpec& c) {
+         c.host_devices.assign(2, c.device);
+         c.host_devices[1].peak_flops_fp16 = nan;
+       }},
+      {"intra_host_bandwidth", [](ClusterSpec& c) { c.intra_host_bandwidth = 0.0; }},
+      {"inter_host_bandwidth", [&](ClusterSpec& c) { c.inter_host_bandwidth = nan; }},
+      {"intra_host_alpha", [](ClusterSpec& c) { c.intra_host_alpha = -1e-6; }},
+      {"inter_host_alpha", [&](ClusterSpec& c) { c.inter_host_alpha = inf; }},
+  };
+  for (const auto& [field, corrupt] : cases) {
+    ClusterSpec cluster = ClusterSpec::AwsP3(2, 2);
+    corrupt(cluster);
+    const Status status = cluster.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(status.message().find(field), std::string::npos) << status.message();
+  }
 }
 
 TEST(DeviceMesh, SingleHostAxesUseNvlink) {

@@ -131,24 +131,6 @@ TEST(ParallelCompile, MemoCacheServesSecondProfiler) {
   }
 }
 
-TEST(ParallelCompile, CacheDisabledReSolves) {
-  IlpMemoCache::Global().Clear();
-  Graph graph = BuildGpt(SmallGpt());
-  const ClusterSpec cluster = ClusterSpec::AwsP3(1, 2);
-  const std::vector<SubmeshShape> shapes = {SubmeshShape{1, 1}};
-  StageProfilerOptions options;
-  options.use_ilp_cache = false;
-  options.intra.solver.max_search_nodes = 20'000;
-
-  StageProfiler first(graph, cluster, shapes, options);
-  first.Profile(0, first.num_layers() - 1, 0);
-  StageProfiler second(graph, cluster, shapes, options);
-  second.Profile(0, second.num_layers() - 1, 0);
-  EXPECT_GT(second.num_ilp_solves(), 0);
-  EXPECT_EQ(second.cache_hits(), 0);
-  EXPECT_EQ(IlpMemoCache::Global().size(), 0u);
-}
-
 TEST(ParallelCompile, SolvesWithFiltersBypassCache) {
   IlpMemoCache::Global().Clear();
   Graph graph = BuildGpt(SmallGpt());
@@ -174,7 +156,7 @@ TEST(ParallelCompile, ApiMirrorsCompileThreads) {
   const ClusterSpec cluster = ClusterSpec::AwsP3(1, 2);
   ParallelizeOptions options;
   options.num_microbatches = 4;
-  options.compile_threads = 2;
+  options.inter.compile_threads = 2;
   options.inter.target_layers = 2;
   options.inter.profiler.intra.solver.max_search_nodes = 20'000;
   const StatusOr<ParallelPlan> plan = Parallelize(graph, cluster, options);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -81,30 +82,94 @@ TEST_F(PlanCacheTest, KeyCoversGraphNamesAndLayers) {
   EXPECT_NE(key_a.graph_hash, key_renamed.graph_hash);
 }
 
+// The key covers exactly the inputs that steer a compile: flipping any one
+// of them splits it, flipping anything the compiler cannot see does not.
 TEST_F(PlanCacheTest, KeyCoversClusterExtentAndOptions) {
   Graph graph = BuildMlp(MlpConfig{});
-  const ParallelizeOptions options = FinalizedOptions();
-  PlanCacheKey on2;
-  PlanCacheKey on4;
-  ASSERT_TRUE(ComputePlanCacheKey(graph, ClusterSpec::AwsP3(1, 2), options, &on2));
-  ASSERT_TRUE(ComputePlanCacheKey(graph, ClusterSpec::AwsP3(1, 4), options, &on4));
+  const ClusterSpec cluster = ClusterSpec::AwsP3(1, 2);
+  const ParallelizeOptions base = FinalizedOptions();
+  const auto config_hash = [&graph](const ClusterSpec& on, const ParallelizeOptions& options) {
+    PlanCacheKey key;
+    EXPECT_TRUE(ComputePlanCacheKey(graph, on, options, &key));
+    return key.config_hash;
+  };
+  const uint64_t base_hash = config_hash(cluster, base);
+  EXPECT_EQ(config_hash(cluster, base), base_hash);  // Deterministic.
   // The ILP memo deliberately ignores cluster extent; the plan cache must
   // not — a whole-plan result depends on the device count.
-  EXPECT_NE(on2.config_hash, on4.config_hash);
+  EXPECT_NE(config_hash(ClusterSpec::AwsP3(1, 4), base), base_hash);
 
-  ParallelizeOptions other = FinalizedOptions();
-  other.inter.num_microbatches = 8;
-  PlanCacheKey key_other;
-  ASSERT_TRUE(ComputePlanCacheKey(graph, ClusterSpec::AwsP3(1, 2), other, &key_other));
-  EXPECT_NE(on2.config_hash, key_other.config_hash);
+  struct Flip {
+    const char* field;
+    std::function<void(ParallelizeOptions&)> apply;
+  };
+  const std::vector<Flip> steering = {
+      {"schedule", [](ParallelizeOptions& o) { o.schedule = PipelineScheduleType::kGpipe; }},
+      {"enable_interop", [](ParallelizeOptions& o) { o.enable_interop = false; }},
+      {"enable_intraop", [](ParallelizeOptions& o) { o.enable_intraop = false; }},
+      {"reshard", [](ParallelizeOptions& o) { o.reshard = ReshardStrategy::kNaiveSendRecv; }},
+      {"inter.num_microbatches", [](ParallelizeOptions& o) { o.inter.num_microbatches = 8; }},
+      {"inter.target_layers", [](ParallelizeOptions& o) { o.inter.target_layers = 3; }},
+      {"inter.clustering",
+       [](ParallelizeOptions& o) { o.inter.clustering = ClusteringMethod::kEqualOperator; }},
+      {"inter.equal_layer_stages",
+       [](ParallelizeOptions& o) { o.inter.equal_layer_stages = true; }},
+      {"inter.dp.device_memory_override",
+       [](ParallelizeOptions& o) { o.inter.dp.device_memory_override = 1e12; }},
+      {"inter.dp.max_tmax_candidates",
+       [](ParallelizeOptions& o) { o.inter.dp.max_tmax_candidates = 8; }},
+      {"inter.submesh_shapes",
+       [](ParallelizeOptions& o) { o.inter.submesh_shapes = {SubmeshShape{1, 1}}; }},
+      {"inter.profiler.memory_modes",
+       [](ParallelizeOptions& o) { o.inter.profiler.memory_modes = false; }},
+      {"intra.rematerialize",
+       [](ParallelizeOptions& o) { o.inter.profiler.intra.rematerialize = false; }},
+      {"intra.solver.max_search_nodes",
+       [](ParallelizeOptions& o) { o.inter.profiler.intra.solver.max_search_nodes = 1000; }},
+      {"intra.solver.max_elimination_table",
+       [](ParallelizeOptions& o) { o.inter.profiler.intra.solver.max_elimination_table = 0; }},
+      {"intra.solver.use_core_memo",
+       [](ParallelizeOptions& o) { o.inter.profiler.intra.solver.use_core_memo = false; }},
+  };
+  for (const Flip& flip : steering) {
+    ParallelizeOptions flipped = base;
+    flip.apply(flipped);
+    EXPECT_NE(config_hash(cluster, flipped), base_hash) << flip.field;
+  }
+  // Placement matching only differs where generations differ.
+  const ClusterSpec mixed = ClusterSpec::MixedGeneration(1, 1, /*devices_per_host=*/2);
+  ParallelizeOptions unaware = base;
+  unaware.inter.hetero_aware = false;
+  EXPECT_NE(config_hash(mixed, unaware), config_hash(mixed, base)) << "inter.hetero_aware";
 
-  // Thread count is plan-invariant by the determinism guarantee, so it
-  // must NOT split the cache.
-  ParallelizeOptions threaded = FinalizedOptions();
-  threaded.inter.compile_threads = 4;
-  PlanCacheKey key_threaded;
-  ASSERT_TRUE(ComputePlanCacheKey(graph, ClusterSpec::AwsP3(1, 2), threaded, &key_threaded));
-  EXPECT_EQ(on2, key_threaded);
+  // Thread count and trace path are plan-invariant (PlanEquals
+  // determinism); Parallelize overwrites the intra-op precision and
+  // microbatch count before any pass reads them. None may split the cache.
+  const std::vector<Flip> inert = {
+      {"inter.compile_threads", [](ParallelizeOptions& o) { o.inter.compile_threads = 4; }},
+      {"trace_path", [](ParallelizeOptions& o) { o.trace_path = "plan.trace.json"; }},
+      {"intra.precision",
+       [](ParallelizeOptions& o) { o.inter.profiler.intra.precision = Precision::kFloat32; }},
+      {"intra.num_microbatches",
+       [](ParallelizeOptions& o) { o.inter.profiler.intra.num_microbatches = 8; }},
+  };
+  for (const Flip& flip : inert) {
+    ParallelizeOptions flipped = base;
+    flip.apply(flipped);
+    EXPECT_EQ(config_hash(cluster, flipped), base_hash) << flip.field;
+  }
+  // The overwritten fields really cannot reach the plan.
+  Graph base_graph = BuildMlp(MlpConfig{});
+  const StatusOr<ParallelPlan> base_plan = Parallelize(base_graph, cluster, base);
+  ASSERT_TRUE(base_plan.ok()) << base_plan.status().ToString();
+  for (size_t i = 2; i < inert.size(); ++i) {
+    ParallelizeOptions flipped = base;
+    inert[i].apply(flipped);
+    Graph flipped_graph = BuildMlp(MlpConfig{});
+    const StatusOr<ParallelPlan> plan = Parallelize(flipped_graph, cluster, flipped);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_TRUE(PlanEquals(plan->pipeline, base_plan->pipeline)) << inert[i].field;
+  }
 }
 
 TEST_F(PlanCacheTest, ClosuresAreUncacheable) {
@@ -116,10 +181,6 @@ TEST_F(PlanCacheTest, ClosuresAreUncacheable) {
   filtered.inter.profiler.intra.filter = [](const Graph&, const DeviceMesh&, const Operator&,
                                             const ParallelAlgorithm&) { return true; };
   EXPECT_FALSE(ComputePlanCacheKey(graph, cluster, filtered, &key));
-
-  ParallelizeOptions forced = FinalizedOptions();
-  forced.inter.profiler.intra.forced_choice = {0, 0, 0};
-  EXPECT_FALSE(ComputePlanCacheKey(graph, cluster, forced, &key));
 }
 
 // The regression this PR's bugfix satellite exists for: before the

@@ -1,7 +1,6 @@
 // The solver portfolio (GRASP + simulated annealing racing the flat branch
 // & bound): exactness on small instances, determinism for any thread count
-// and across reruns, incumbent sharing (the metaheuristic bound must prune
-// the exact search), and the anytime abort contract end to end.
+// and across reruns, and the anytime abort contract end to end.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -114,39 +113,6 @@ TEST(Portfolio, DeterministicAcrossThreadCountsAndReruns) {
     EXPECT_EQ(parallel.explored, serial.explored) << threads << " threads";
     EXPECT_EQ(parallel.aborted, serial.aborted) << threads << " threads";
   }
-}
-
-// Incumbent sharing, measured: handing the metaheuristic incumbent to the
-// exact search as its initial bound must strictly reduce the nodes the
-// search explores to prove the same optimum.
-TEST(Portfolio, SharedIncumbentBoundPrunesTheExactSearch) {
-  const IlpProblem problem = AbortProneProblem();
-  const FlatCore f = BuildFlatCore(problem);
-
-  FlatSearchOptions plain;
-  plain.budget = 100'000'000;
-  const FlatSearchResult unaided = SolveCoreOnFlat(f, plain);
-  ASSERT_FALSE(unaided.aborted);
-  ASSERT_GT(unaided.explored, 1000);  // Non-trivial search.
-
-  GraspOptions gopt;
-  gopt.restarts = 16;
-  const GraspResult grasp = RunGrasp(f, gopt);
-  ASSERT_TRUE(grasp.feasible);
-  AnnealOptions aopt;
-  aopt.steps_per_chain = 10'000;
-  const AnnealResult sa = RunAnneal(f, grasp.choice, aopt);
-  ASSERT_LE(sa.objective, grasp.objective);
-
-  FlatSearchOptions bounded = plain;
-  bounded.incumbents.push_back(sa.choice);
-  const FlatSearchResult aided = SolveCoreOnFlat(f, bounded);
-  ASSERT_FALSE(aided.aborted);
-  // Same optimum, but the aided run may return the incumbent's value, which
-  // is summed in a different order than the search's accumulation — ULP
-  // equality, not bitwise (bitwise only holds along identical code paths).
-  EXPECT_DOUBLE_EQ(aided.objective, unaided.objective);
-  EXPECT_LT(aided.explored, unaided.explored);
 }
 
 // End-to-end anytime contract through IlpSolver: a starved portfolio solve

@@ -1,8 +1,8 @@
 // End-to-end tests of the plan server + remote client: a mixed cold/warm
 // concurrent request storm, per-tenant admission control, deadline
 // expiry (including the fail-fast floor), anytime plans under a tight
-// deadline, the results-database endpoints, malformed-bytes handling,
-// and warm restarts from the disk cache. These run against a real
+// deadline, the results-database endpoints, malformed-bytes and
+// malformed-cluster handling, and warm restarts from the disk cache. These run against a real
 // daemon loop on a real unix socket — the same code path alpa_serve
 // ships.
 #include <gtest/gtest.h>
@@ -13,9 +13,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/api.h"
@@ -120,19 +122,31 @@ TEST_F(ServeTest, PingAndUnreachable) {
   EXPECT_EQ(client.Ping().code(), StatusCode::kUnavailable);
 }
 
+// A raw client connection to the daemon at `path`; -1 on failure.
+int ConnectRaw(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST_F(ServeTest, MalformedFrameGetsStructuredError) {
   ServerOptions options;
   options.socket_path = socket_path_;
   PlanServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(socket_path_);
   ASSERT_GE(fd, 0);
-  sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path_.c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
   // Garbage payload in a well-formed frame: the server must answer with a
   // structured decode error on the same connection, not crash or hang up.
@@ -146,6 +160,78 @@ TEST_F(ServeTest, MalformedFrameGetsStructuredError) {
   // The connection survived: a valid request on it still works.
   RemotePlanService client(socket_path_);
   EXPECT_TRUE(client.Ping().ok());
+  ::close(fd);
+}
+
+// Clusters that cannot be priced. Unchecked, each crashes the compiler (a
+// CHECK abort, a division by zero) or comes back as a plan with a
+// meaningless latency.
+std::vector<std::pair<const char*, ClusterSpec>> MalformedClusters() {
+  std::vector<std::pair<const char*, ClusterSpec>> clusters;
+  ClusterSpec cluster = ClusterSpec::AwsP3(2, 2);
+  cluster.num_hosts = 0;
+  clusters.emplace_back("num_hosts = 0", cluster);
+  cluster = ClusterSpec::AwsP3(2, 2);
+  cluster.devices_per_host = 0;
+  clusters.emplace_back("devices_per_host = 0", cluster);
+  cluster = ClusterSpec::AwsP3(2, 2);
+  cluster.inter_host_bandwidth = std::nan("");
+  clusters.emplace_back("inter_host_bandwidth = NaN", cluster);
+  cluster = ClusterSpec::AwsP3(2, 2);
+  cluster.device.peak_flops_fp16 = -1e14;
+  clusters.emplace_back("peak_flops_fp16 < 0", cluster);
+  return clusters;
+}
+
+TEST_F(ServeTest, MalformedClustersAreInvalidArgumentInProcess) {
+  InProcessPlanService service;
+  for (const auto& [name, cluster] : MalformedClusters()) {
+    PlanRequest request = MlpRequest(0);
+    request.cluster = cluster;
+    const StatusOr<ParallelPlan> plan = service.Parallelize(request);
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << name;
+    Graph graph = BuildMlp(MlpConfig{});
+    EXPECT_EQ(Parallelize(graph, cluster, ParallelizeOptions{}).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
+  PlanRequest valid = MlpRequest(0);
+  valid.cluster = ClusterSpec::AwsP3(2, 2);
+  EXPECT_TRUE(service.Parallelize(valid).ok());
+}
+
+// One tenant's malformed cluster must not take the daemon down: the bad
+// request gets kInvalidArgument, and the same connection keeps serving.
+TEST_F(ServeTest, MalformedClusterDoesNotKillTheDaemon) {
+  ServerOptions options;
+  options.socket_path = socket_path_;
+  PlanServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = ConnectRaw(socket_path_);
+  ASSERT_GE(fd, 0);
+
+  const auto parallelize = [fd](const ClusterSpec& cluster) {
+    ServeRequest request;
+    request.method = Method::kParallelize;
+    request.options = MlpRequest(0).options;
+    request.graph = DistinctMlp(0);
+    request.cluster = cluster;
+    EXPECT_TRUE(WriteFrame(fd, SerializeRequest(request)).ok());
+    std::string blob;
+    EXPECT_TRUE(ReadFrame(fd, &blob).ok());
+    return DeserializeResponse(blob);
+  };
+  ClusterSpec no_hosts = ClusterSpec::AwsP3(1, 2);
+  no_hosts.num_hosts = 0;
+  const StatusOr<ServeResponse> rejected = parallelize(no_hosts);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected->ToStatus().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(rejected->has_plan);
+
+  const StatusOr<ServeResponse> served = parallelize(ClusterSpec::AwsP3(1, 2));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->ToStatus().ok()) << served->ToStatus().ToString();
+  EXPECT_TRUE(served->has_plan);
   ::close(fd);
 }
 

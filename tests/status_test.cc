@@ -73,7 +73,7 @@ TEST(Finalize, MirrorConflictIsInvalidArgument) {
 TEST(Finalize, MirrorResolvesIntoInter) {
   ParallelizeOptions options;
   options.num_microbatches = 8;
-  options.compile_threads = 2;
+  options.inter.compile_threads = 2;
   ASSERT_TRUE(options.Finalize().ok());
   EXPECT_EQ(options.inter.num_microbatches, 8);
   EXPECT_EQ(options.inter.compile_threads, 2);
@@ -81,16 +81,6 @@ TEST(Finalize, MirrorResolvesIntoInter) {
   // inter fields are tweaked afterwards.
   options.inter.num_microbatches = 8;
   ASSERT_TRUE(options.Finalize().ok());
-}
-
-TEST(Finalize, ThreadsConflictIsInvalidArgument) {
-  ParallelizeOptions options;
-  options.compile_threads = 2;
-  options.inter.compile_threads = 4;
-  const Status status = options.Finalize();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("compile_threads"), std::string::npos);
 }
 
 TEST(Finalize, RejectsOutOfRangeValues) {
@@ -103,7 +93,7 @@ TEST(Finalize, RejectsOutOfRangeValues) {
   EXPECT_EQ(zero_inter.Finalize().code(), StatusCode::kInvalidArgument);
 
   ParallelizeOptions bad_threads;
-  bad_threads.compile_threads = -7;
+  bad_threads.inter.compile_threads = -7;
   EXPECT_EQ(bad_threads.Finalize().code(), StatusCode::kInvalidArgument);
 }
 

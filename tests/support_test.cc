@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "src/support/math_util.h"
 #include "src/support/rng.h"
 #include "src/support/strings.h"
@@ -30,6 +33,29 @@ TEST(Strings, HumanSeconds) {
   EXPECT_EQ(HumanSeconds(2.5), "2.500 s");
   EXPECT_EQ(HumanSeconds(0.0015), "1.500 ms");
   EXPECT_EQ(HumanSeconds(2e-6), "2.000 us");
+}
+
+TEST(Strings, ParseNonNegativeIntIsStrict) {
+  EXPECT_EQ(ParseNonNegativeInt("0"), 0);
+  EXPECT_EQ(ParseNonNegativeInt("64"), 64);
+  EXPECT_EQ(ParseNonNegativeInt("9223372036854775807"), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(ParseNonNegativeInt("2147483647", std::numeric_limits<int>::max()), 2147483647);
+  // atoi/atoll would have read each of these as a number.
+  for (const char* bad : {"", "sixty", "10k", "4x", " 4", "4 ", "+4", "-1", "1.5", "0x10",
+                          "9223372036854775808"}) {
+    EXPECT_FALSE(ParseNonNegativeInt(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(ParseNonNegativeInt("2147483648", std::numeric_limits<int>::max()).has_value());
+}
+
+TEST(Strings, ParseNonNegativeDoubleIsStrict) {
+  EXPECT_EQ(ParseNonNegativeDouble("0"), 0.0);
+  EXPECT_EQ(ParseNonNegativeDouble("0.5"), 0.5);
+  EXPECT_EQ(ParseNonNegativeDouble("2e-3"), 2e-3);
+  EXPECT_EQ(ParseNonNegativeDouble("30"), 30.0);
+  for (const char* bad : {"", "soon", "1s", "0.5.1", " 1", "+1", "-0.5", "inf", "nan", "1e999"}) {
+    EXPECT_FALSE(ParseNonNegativeDouble(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 TEST(MathUtil, CeilDiv) {
