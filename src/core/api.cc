@@ -1,6 +1,7 @@
 #include "src/core/api.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/support/logging.h"
 #include "src/support/strings.h"
@@ -270,8 +271,7 @@ StatusOr<RepairResult> RepairPlan(Graph& graph, const ClusterSpec& cluster,
   // submeshes span whole hosts (5.2), so dead hosts drop at host
   // granularity. A scenario that kills every host leaves zero feasible
   // submeshes and must be rejected, not compiled for a phantom cluster.
-  std::vector<bool> host_dead(static_cast<size_t>(cluster.num_hosts), false);
-  host_dead[static_cast<size_t>(options.failed_host)] = true;
+  std::set<int> dead_hosts = {options.failed_host};
   for (const DeviceFailure& failure : cluster.faults.device_failures) {
     const int host = failure.device / std::max(cluster.devices_per_host, 1);
     if (host < 0 || host >= cluster.num_hosts) {
@@ -279,12 +279,9 @@ StatusOr<RepairResult> RepairPlan(Graph& graph, const ClusterSpec& cluster,
           StrFormat("fault scenario names device %d outside the cluster's %d devices",
                     failure.device, cluster.num_devices()));
     }
-    host_dead[static_cast<size_t>(host)] = true;
+    dead_hosts.insert(host);
   }
-  const int remaining_hosts =
-      cluster.num_hosts -
-      static_cast<int>(std::count(host_dead.begin(), host_dead.end(), true));
-  if (remaining_hosts == 0) {
+  if (static_cast<int>(dead_hosts.size()) == cluster.num_hosts) {
     return Status::InvalidArgument(
         "fault scenario leaves zero feasible submeshes: every host is lost "
         "(failed_host plus permanent device failures cover the whole cluster)");
@@ -293,20 +290,9 @@ StatusOr<RepairResult> RepairPlan(Graph& graph, const ClusterSpec& cluster,
   RepairResult result;
   // The repaired job runs on the survivors with the fault scenario consumed
   // (the failures already happened; transient-fault fields would
-  // double-charge the repaired run). On a homogeneous cluster only the
-  // count matters; mixed-generation clusters also keep the surviving
-  // hosts' generations in order.
-  result.shrunk_cluster = cluster;
-  result.shrunk_cluster.num_hosts = remaining_hosts;
+  // double-charge the repaired run).
+  result.shrunk_cluster = cluster.WithoutHosts(dead_hosts);
   result.shrunk_cluster.faults = FaultSpec{};
-  if (!cluster.host_devices.empty()) {
-    result.shrunk_cluster.host_devices.clear();
-    for (int h = 0; h < cluster.num_hosts; ++h) {
-      if (!host_dead[static_cast<size_t>(h)]) {
-        result.shrunk_cluster.host_devices.push_back(cluster.host_device(h));
-      }
-    }
-  }
 
   ParallelizeOptions opts = parallelize_options;
   opts.trace_path.clear();  // The caller's trace flushes once, at the end.

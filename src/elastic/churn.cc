@@ -106,10 +106,7 @@ Status LiveCluster::Apply(const ChurnEvent& event) {
       if (spec_.num_hosts == 1) {
         return Status::Infeasible("removing the last host leaves nothing to plan for");
       }
-      spec_.num_hosts -= 1;
-      if (!spec_.host_devices.empty()) {
-        spec_.host_devices.erase(spec_.host_devices.begin() + event.host);
-      }
+      spec_ = spec_.WithoutHosts({event.host});
       return Status::Ok();
     }
     case ChurnEventKind::kHostJoin: {

@@ -4,8 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <memory>
-#include <set>
+#include <mutex>
 #include <utility>
 
 #include "src/support/logging.h"
@@ -22,8 +23,8 @@ namespace {
 // Failures only: heartbeat detection + checkpoint restore.
 constexpr double kDetectionSeconds = 1.0;
 constexpr double kCheckpointRestoreSeconds = 30.0;
-// Plan switch when the new config's plan is already solved (speculative
-// hit, or a config this run solved before).
+// Plan switch when the run's store already holds the new config's plan
+// (presolved, or compiled earlier in the run).
 constexpr double kWarmReplanSeconds = 0.5;
 // Full recompile sitting in the failover critical path.
 constexpr double kColdReplanSeconds = 30.0;
@@ -55,33 +56,63 @@ StatusOr<ElasticRunResult> RunElasticLoop(const Graph& graph, const ClusterSpec&
 
   // Each solve copies the graph (Parallelize mutates layer tags), so
   // concurrent presolves never share mutable state.
-  const SpeculativePlanner::SolveFn solve = [&graph,
-                                             options](const ClusterSpec& cluster)
-      -> StatusOr<ParallelPlan> {
+  const auto solve = [&graph, &options](const ClusterSpec& cluster) -> StatusOr<ParallelPlan> {
     Graph copy = graph;
     return Parallelize(copy, cluster, options);
   };
 
+  // The run's one plan store, by cluster fingerprint: every plan this run
+  // compiled or presolved. A failover is warm when the store holds its
+  // plan, in both modes (a reactive runtime also keeps the plans it
+  // already paid for).
+  std::mutex store_mu;
+  std::map<uint64_t, ParallelPlan> store;
+  const auto keep = [&store_mu, &store](uint64_t fingerprint, const ParallelPlan& plan) {
+    std::lock_guard<std::mutex> lock(store_mu);
+    store.emplace(fingerprint, plan);
+  };
+
+  Presolver presolver;
+  presolver.key = [](const ClusterSpec& cluster, PresolveKey* key) {
+    *key = {cluster.Fingerprint(), 0};
+    return true;
+  };
+  presolver.holds = [&store_mu, &store](const PresolveKey& key) {
+    std::lock_guard<std::mutex> lock(store_mu);
+    return store.count(key.first) > 0;
+  };
+  presolver.presolve = [&solve, &keep](const ClusterSpec& cluster) {
+    const StatusOr<ParallelPlan> plan = solve(cluster);
+    if (plan.ok()) {
+      keep(cluster.Fingerprint(), *plan);
+    }
+    return plan.ok();
+  };
+
   const std::vector<ChurnEvent> events = SampleChurnEvents(initial, elastic.churn);
 
-  // Pool before planner: the planner's destructor drains its presolves
-  // while the pool is still alive.
+  // Pool before speculator: the speculator's destructor drains its
+  // presolves while the pool is still alive.
   std::unique_ptr<ThreadPool> pool;
   if (elastic.speculative && elastic.threads > 1) {
     pool = std::make_unique<ThreadPool>(elastic.threads);
   }
-  std::unique_ptr<SpeculativePlanner> planner;
+  std::unique_ptr<Speculator> speculator;
   if (elastic.speculative) {
-    planner = std::make_unique<SpeculativePlanner>(solve, elastic.speculation, pool.get());
+    speculator = std::make_unique<Speculator>(pool.get());
   }
-
-  // Configs compiled at least once this run; revisits are warm in BOTH
-  // modes (a reactive runtime also keeps the plans it already paid for).
-  std::set<uint64_t> solved;
+  const auto speculate = [&](const ClusterSpec& current, double now) {
+    if (speculator != nullptr) {
+      speculator->Speculate(EnumerateLikelyConfigs(current, elastic.churn.scheduled, now,
+                                                   elastic.churn.host_mtbf_seconds,
+                                                   elastic.speculation),
+                            presolver);
+    }
+  };
 
   LiveCluster live(initial);
   const double startup_wall = WallSeconds();
-  StatusOr<ParallelPlan> plan = solve(live.spec());
+  const StatusOr<ParallelPlan> plan = solve(live.spec());
   if (!plan.ok()) {
     return plan.status();  // A broken initial config is a caller error.
   }
@@ -98,11 +129,8 @@ StatusOr<ElasticRunResult> RunElasticLoop(const Graph& graph, const ClusterSpec&
   epoch.failover_wall_seconds = WallSeconds() - startup_wall;
   epoch.cluster_fingerprint = live.spec().Fingerprint();
   epoch.pflops = SimulatedPflops(*plan, graph, live.spec());
-  solved.insert(epoch.cluster_fingerprint);
-  if (planner != nullptr) {
-    planner->Speculate(live.spec(), elastic.churn.scheduled, 0.0,
-                       elastic.churn.host_mtbf_seconds);
-  }
+  keep(epoch.cluster_fingerprint, *plan);
+  speculate(live.spec(), 0.0);
 
   const auto close_epoch = [&](double end) {
     epoch.end_seconds = end;
@@ -128,20 +156,29 @@ StatusOr<ElasticRunResult> RunElasticLoop(const Graph& graph, const ClusterSpec&
     close_epoch(event.time);
     ++result.events_applied;
 
-    // --- Failover: fetch the new config's plan, warm or cold. ---
+    // --- Failover: the stored plan (warm), else a critical-path compile. ---
     const uint64_t fingerprint = live.spec().Fingerprint();
-    bool warm = solved.count(fingerprint) > 0;
     const double wall_start = WallSeconds();
+    if (speculator != nullptr) {
+      speculator->Drain();  // Deterministic warm/cold: every presolve finished.
+    }
     StatusOr<ParallelPlan> next = Status::Infeasible("no plan yet");
-    if (planner != nullptr) {
-      planner->Drain();  // Deterministic hit/miss: every presolve finished.
-      if (auto hit = planner->Fetch(live.spec())) {
-        warm = true;
-        next = std::move(*hit);
+    {
+      std::lock_guard<std::mutex> lock(store_mu);
+      const auto it = store.find(fingerprint);
+      if (it != store.end()) {
+        next = it->second;
       }
     }
-    if (!next.ok()) {
+    const bool warm = next.ok();
+    if (!warm) {
       next = solve(live.spec());
+      if (next.ok()) {
+        keep(fingerprint, *next);
+      }
+    }
+    if (speculator != nullptr) {
+      speculator->Record({fingerprint, 0}, /*compiled=*/!warm);
     }
     const double failover_wall = WallSeconds() - wall_start;
 
@@ -161,28 +198,24 @@ StatusOr<ElasticRunResult> RunElasticLoop(const Graph& graph, const ClusterSpec&
         (event.announced() ? 0.0 : kDetectionSeconds + kCheckpointRestoreSeconds) +
         (warm ? kWarmReplanSeconds : kColdReplanSeconds);
     if (next.ok()) {
-      solved.insert(fingerprint);
       epoch.pflops = SimulatedPflops(*next, graph, live.spec());
-      plan = std::move(next);
     } else {
       // No feasible plan for this config: the cluster idles until the next
       // event (goodput 0), then replans from whatever comes.
       epoch.feasible = false;
       epoch.pflops = 0.0;
     }
-    if (planner != nullptr) {
-      planner->Speculate(live.spec(), elastic.churn.scheduled, event.time,
-                         elastic.churn.host_mtbf_seconds);
-    }
+    speculate(live.spec(), event.time);
   }
   close_epoch(result.horizon_seconds);
 
-  if (planner != nullptr) {
-    planner->Drain();
-    result.speculations = planner->speculations();
-    result.speculative_hits = planner->hits();
-    result.speculative_misses = planner->misses();
-    result.wasted_presolves = planner->WastedPresolves();
+  if (speculator != nullptr) {
+    speculator->Drain();
+    const SpeculationCounts counts = speculator->counts();
+    result.speculations = counts.speculations;
+    result.speculative_hits = counts.hits;
+    result.speculative_misses = counts.misses;
+    result.wasted_presolves = counts.wasted;
   }
   result.uptime_fraction =
       result.horizon_seconds > 0.0

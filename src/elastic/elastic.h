@@ -4,9 +4,11 @@
 // answer "what plan fits THIS cluster". The elastic loop answers the
 // production question: over a horizon of failures, joins, and drains, how
 // much useful work does the job complete? It replays a deterministic churn
-// stream (churn.h) against a live cluster, replans at every mutation —
-// optionally through the speculative presolve cache (speculator.h) — and
-// accounts downtime and goodput per epoch.
+// stream (churn.h) against a live cluster, replans at every mutation from
+// one run-local plan store (a failover is warm when the store holds the
+// new config's plan, cold when it must compile), optionally has the
+// speculator (speculator.h) presolve the likely next configs into that
+// store, and accounts downtime and goodput per epoch.
 //
 // Downtime is MODELED with deterministic constants (elastic.cc) chosen by
 // the (equally deterministic) warm/cold policy, so goodput totals are
@@ -30,10 +32,10 @@ namespace elastic {
 struct ElasticOptions {
   ChurnOptions churn;
   SpeculationOptions speculation;
-  // true: presolve likely next configs in the background and fail over
-  // from the cache. false: the reactive baseline — recompile on demand
-  // (previously-visited configs still count as warm, matching a reactive
-  // runtime that keeps its old plans).
+  // true: presolve likely next configs into the run's plan store in the
+  // background. false: the reactive baseline — compile on demand
+  // (previously-visited configs are still stored and warm, matching a
+  // reactive runtime that keeps its old plans).
   bool speculative = true;
   // Background presolve workers. 0/1 = inline presolves (still the same
   // results; the thread count must never change any number).
@@ -65,7 +67,10 @@ struct ElasticRunResult {
   double uptime_fraction = 1.0;
   int64_t events_applied = 0;
   int64_t events_skipped = 0;  // Inapplicable events (e.g. drain below min).
-  // Speculation accounting (all zero for the reactive baseline).
+  // The speculator's counters (speculator.h; all zero for the reactive
+  // baseline). A hit is the first warm failover onto a presolved config;
+  // a miss is a cold failover. A warm revisit of a config whose stored
+  // plan was used before is neither.
   int64_t speculations = 0;
   int64_t speculative_hits = 0;
   int64_t speculative_misses = 0;
@@ -81,10 +86,12 @@ struct ElasticRunResult {
 };
 
 // Runs the full loop: sample the churn stream, compile the initial plan,
-// then for every applicable event mutate the cluster, replan (through the
-// speculator when enabled), simulate, and account goodput. Errors only on
-// a broken INITIAL configuration; mid-run infeasible configs become
-// zero-goodput epochs (the cluster is down until the next event).
+// then for every applicable event mutate the cluster, replan from the
+// run's plan store (compiling on a miss), simulate, account goodput, and
+// (when speculative) presolve the likely next configs into the store.
+// Errors only on a broken INITIAL configuration; mid-run infeasible
+// configs become zero-goodput epochs (the cluster is down until the next
+// event).
 StatusOr<ElasticRunResult> RunElasticLoop(const Graph& graph, const ClusterSpec& initial,
                                           const ParallelizeOptions& options,
                                           const ElasticOptions& elastic);

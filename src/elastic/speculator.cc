@@ -19,19 +19,19 @@ namespace {
 constexpr double kLookaheadSeconds = 86400.0;
 
 Metric* SpeculationsMetric() {
-  static Metric* m = Metrics::Get("ilp.elastic.speculations");
+  static Metric* m = Metrics::Get("elastic/speculations");
   return m;
 }
 Metric* HitsMetric() {
-  static Metric* m = Metrics::Get("ilp.elastic.speculative_hits");
+  static Metric* m = Metrics::Get("elastic/speculative_hits");
   return m;
 }
 Metric* MissesMetric() {
-  static Metric* m = Metrics::Get("ilp.elastic.speculative_misses");
+  static Metric* m = Metrics::Get("elastic/speculative_misses");
   return m;
 }
 Metric* WastedMetric() {
-  static Metric* m = Metrics::Get("ilp.elastic.wasted_presolves");
+  static Metric* m = Metrics::Get("elastic/wasted_presolves");
   return m;
 }
 
@@ -93,115 +93,90 @@ std::vector<CandidateConfig> EnumerateLikelyConfigs(const ClusterSpec& current,
   return candidates;
 }
 
-SpeculativePlanner::SpeculativePlanner(SolveFn solve, SpeculationOptions options,
-                                       ThreadPool* pool)
-    : solve_(std::move(solve)), options_(options), pool_(pool) {}
+Speculator::Speculator(ThreadPool* pool) : pool_(pool) {}
 
-SpeculativePlanner::~SpeculativePlanner() { Drain(); }
+Speculator::~Speculator() { Drain(); }
 
-void SpeculativePlanner::set_presolved_hook(PresolvedHook hook) {
-  std::lock_guard<std::mutex> lock(mu_);
-  hook_ = std::move(hook);
-}
-
-void SpeculativePlanner::Speculate(const ClusterSpec& current,
-                                   const std::vector<ChurnEvent>& announced, double now,
-                                   double host_mtbf_seconds) {
-  const std::vector<CandidateConfig> candidates =
-      EnumerateLikelyConfigs(current, announced, now, host_mtbf_seconds, options_);
+void Speculator::Speculate(const std::vector<CandidateConfig>& candidates,
+                           const Presolver& presolver) {
   for (const CandidateConfig& candidate : candidates) {
-    const uint64_t fingerprint = candidate.cluster.Fingerprint();
+    PresolveKey key;
+    if (!presolver.key(candidate.cluster, &key)) {
+      continue;
+    }
+    // The ledger before the store: a claimed key needs no store probe (the
+    // daemon's probe is a plan-cache lookup that counts a hit and refreshes
+    // the entry's LRU age).
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (cache_.count(fingerprint) > 0) {
-        continue;  // Already presolved (or in flight).
+      if (claims_.count(key) > 0) {
+        continue;
       }
-      cache_.emplace(fingerprint, Entry{});
-      ++in_flight_;
-      ++speculations_;
     }
-    SpeculationsMetric()->Add(1);
+    if (presolver.holds(key)) {
+      continue;  // Stored without speculation's help: not a speculation.
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!claims_.emplace(key, State::kInFlight).second) {
+        continue;  // Another thread claimed it since the check above.
+      }
+      ++in_flight_;
+      ++counts_.speculations;
+      SpeculationsMetric()->Add(1);
+    }
     if (pool_ != nullptr) {
-      ClusterSpec cluster = candidate.cluster;
-      pool_->Submit([this, fingerprint, cluster = std::move(cluster)]() mutable {
-        Presolve(fingerprint, std::move(cluster));
+      pool_->Submit([this, key, cluster = candidate.cluster, presolve = presolver.presolve] {
+        Presolve(key, cluster, presolve);
       });
     } else {
-      Presolve(fingerprint, candidate.cluster);
+      Presolve(key, candidate.cluster, presolver.presolve);
     }
   }
 }
 
-void SpeculativePlanner::Presolve(uint64_t fingerprint, ClusterSpec cluster) {
-  StatusOr<ParallelPlan> plan = solve_(cluster);
-  PresolvedHook hook;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Entry& entry = cache_[fingerprint];
-    entry.done = true;
-    if (plan.ok()) {
-      entry.usable = true;
-      entry.plan = *plan;
-      hook = hook_;
-    }
-    --in_flight_;
-    // Notify while still holding mu_: once the lock drops with
-    // in_flight_ == 0, Drain() may return and the planner be destroyed,
-    // so an unlocked notify would touch a dead condvar.
-    idle_.notify_all();
+void Speculator::Presolve(const PresolveKey& key, const ClusterSpec& cluster,
+                          const std::function<bool(const ClusterSpec&)>& presolve) {
+  const bool usable = presolve(cluster);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (usable) {
+    claims_[key] = State::kUsable;
+    WastedMetric()->Set(++counts_.wasted);
+  } else {
+    claims_[key] = State::kFailed;
+    ++counts_.failed;
   }
-  if (hook) {
-    hook(cluster, *plan);
+  --in_flight_;
+  // Notify while still holding mu_: once the lock drops with
+  // in_flight_ == 0, Drain() may return and the Speculator be destroyed,
+  // so an unlocked notify would touch a dead condvar.
+  idle_.notify_all();
+}
+
+void Speculator::Record(const PresolveKey& key, bool compiled) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (compiled) {
+    ++counts_.misses;
+    MissesMetric()->Add(1);
+    return;
+  }
+  auto it = claims_.find(key);
+  if (it != claims_.end() && it->second == State::kUsable) {
+    it->second = State::kUsed;
+    ++counts_.hits;
+    HitsMetric()->Add(1);
+    WastedMetric()->Set(--counts_.wasted);
   }
 }
 
-void SpeculativePlanner::Drain() {
+void Speculator::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-std::optional<ParallelPlan> SpeculativePlanner::Fetch(const ClusterSpec& target) {
-  const uint64_t fingerprint = target.Fingerprint();
+SpeculationCounts Speculator::counts() const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(fingerprint);
-  if (it != cache_.end() && it->second.done && it->second.usable) {
-    it->second.fetched = true;
-    ++hits_;
-    HitsMetric()->Add(1);
-    return it->second.plan;
-  }
-  ++misses_;
-  MissesMetric()->Add(1);
-  return std::nullopt;
-}
-
-int64_t SpeculativePlanner::speculations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return speculations_;
-}
-
-int64_t SpeculativePlanner::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-int64_t SpeculativePlanner::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-int64_t SpeculativePlanner::WastedPresolves() const {
-  int64_t wasted = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [fingerprint, entry] : cache_) {
-      if (entry.done && entry.usable && !entry.fetched) {
-        ++wasted;
-      }
-    }
-  }
-  WastedMetric()->Set(wasted);
-  return wasted;
+  return counts_;
 }
 
 }  // namespace elastic

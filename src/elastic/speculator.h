@@ -1,24 +1,41 @@
-// Speculative background re-planner.
+// The speculative re-planner: one ledger of presolved plan-store keys.
 //
 // Failover latency is dominated by the recompile: a cold Parallelize() on
-// the shrunk cluster takes seconds while the job sits idle. The speculator
-// removes that from the critical path by enumerating the k most-likely
-// NEXT cluster configurations (each alive host failing, plus announced
-// joins/drains inside a lookahead window), pre-solving them on idle
-// thread-pool workers, and caching the plans by ClusterSpec fingerprint —
-// so when churn actually strikes, the failover plan is a cache hit by
-// construction.
+// the shrunk cluster takes seconds while the job sits idle. Speculation
+// takes it off the critical path. After each replan the caller lists the
+// k most-likely NEXT cluster configurations (EnumerateLikelyConfigs: each
+// alive host failing, plus announced joins/drains inside a lookahead
+// window) and the Speculator presolves every one that its caller's plan
+// store does not hold yet, so when churn strikes the failover plan is
+// already stored.
 //
-// Determinism contract: the candidate set is a pure function of (current
-// cluster, announced events, now), and Fetch() after Drain() sees every
-// finished presolve — so hit/miss outcomes are bit-identical across thread
-// counts and reruns. Only wall-clock timings differ.
+// The Speculator never holds a plan. Each caller presolves into its own
+// plan store through a Presolver:
+//   - the elastic loop (elastic.h) into its run-local plan map, keyed by
+//     cluster fingerprint;
+//   - the alpa_serve --elastic daemon (src/serve/server.h) through its
+//     worker's InProcessPlanService, so presolves ride single-flight and
+//     land in the PlanCache and PlanDb, keyed by PlanCacheKey.
+// The ledger records only which keys were claimed and what became of
+// them. It claims a key before presolving it, so two threads speculating
+// the same candidate run one presolve, and a claim is never retried, even
+// when its presolve fails. Its counters:
+//   speculations  presolves claimed;
+//   hits          first served uses of a usable presolve (Record);
+//   misses        served plans compiled on the critical path (Record);
+//   wasted        usable presolves no served request has used yet;
+//   failed        presolves that produced no plan.
+// After Drain(), speculations == hits + wasted + failed. The ledger alone
+// publishes them as the process-wide metrics (src/support/trace.h)
+// elastic/speculations, elastic/speculative_hits,
+// elastic/speculative_misses and the gauge elastic/wasted_presolves.
 //
-// Counters (process-wide, see src/support/trace.h):
-//   ilp.elastic.speculations        presolves launched
-//   ilp.elastic.speculative_hits    Fetch() served from the presolve cache
-//   ilp.elastic.speculative_misses  Fetch() found nothing usable
-//   ilp.elastic.wasted_presolves    presolved configs never fetched (gauge)
+// Determinism contract: the candidate list is a pure function of (current
+// cluster, announced events, now), Speculate() claims in candidate order
+// on the calling thread, and a caller that calls Drain() before reading
+// its store sees every finished presolve. So the elastic loop's outcomes
+// and counters are bit-identical across thread counts and reruns; only
+// wall-clock timings differ.
 #ifndef SRC_ELASTIC_SPECULATOR_H_
 #define SRC_ELASTIC_SPECULATOR_H_
 
@@ -27,19 +44,19 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/core/api.h"
 #include "src/elastic/churn.h"
+#include "src/mesh/cluster_spec.h"
 #include "src/support/thread_pool.h"
 
 namespace alpa {
 namespace elastic {
 
 struct SpeculationOptions {
-  // Max configurations presolved per Speculate() call.
+  // Max configurations presolved per replan.
   int k = 4;
 };
 
@@ -60,69 +77,71 @@ std::vector<CandidateConfig> EnumerateLikelyConfigs(const ClusterSpec& current,
                                                     double now, double host_mtbf_seconds,
                                                     const SpeculationOptions& options);
 
-class SpeculativePlanner {
+// The key a plan store files a plan under: the elastic loop uses
+// {cluster fingerprint, 0}, the daemon {graph_hash, config_hash} of the
+// PlanCacheKey.
+using PresolveKey = std::pair<uint64_t, uint64_t>;
+
+// How a caller presolves into its plan store.
+struct Presolver {
+  // The store key of `cluster`'s plan; false skips the candidate (the
+  // store cannot file it, or the caller is shutting down).
+  std::function<bool(const ClusterSpec& cluster, PresolveKey* key)> key;
+  // True when the store already holds the plan: the candidate is then
+  // neither presolved nor counted.
+  std::function<bool(const PresolveKey& key)> holds;
+  // Compiles `cluster`'s plan into the store; true when it is usable.
+  // Runs on a pool worker when the Speculator has a pool, so it must be
+  // safe to call concurrently and must outlive the next Drain().
+  std::function<bool(const ClusterSpec& cluster)> presolve;
+};
+
+struct SpeculationCounts {
+  int64_t speculations = 0;
+  int64_t hits = 0;
+  int64_t misses = 0;
+  int64_t wasted = 0;
+  int64_t failed = 0;
+};
+
+class Speculator {
  public:
-  // Compiles a plan for one configuration. Invoked concurrently from pool
-  // workers; must be self-contained (copy the graph internally).
-  using SolveFn = std::function<StatusOr<ParallelPlan>(const ClusterSpec&)>;
-  // Observes every successful presolve (e.g. the serve daemon inserts it
-  // into the client-visible plan cache). Called under no internal lock.
-  using PresolvedHook = std::function<void(const ClusterSpec&, const ParallelPlan&)>;
+  // `pool` may be null: presolves then run inline inside Speculate(), as
+  // they do on the daemon's workers. Not owned; must outlive the
+  // Speculator.
+  explicit Speculator(ThreadPool* pool);
+  ~Speculator();  // Drains in-flight presolves.
 
-  // `pool` may be null: presolves then run inline inside Speculate() —
-  // same results, no background concurrency. Not owned; must outlive the
-  // planner.
-  SpeculativePlanner(SolveFn solve, SpeculationOptions options, ThreadPool* pool);
-  ~SpeculativePlanner();  // Drains in-flight presolves.
+  Speculator(const Speculator&) = delete;
+  Speculator& operator=(const Speculator&) = delete;
 
-  SpeculativePlanner(const SpeculativePlanner&) = delete;
-  SpeculativePlanner& operator=(const SpeculativePlanner&) = delete;
+  // Claims and presolves, in order, each candidate whose key is neither
+  // claimed already nor held by the store.
+  void Speculate(const std::vector<CandidateConfig>& candidates, const Presolver& presolver);
 
-  void set_presolved_hook(PresolvedHook hook);
+  // Attributes one served plan filed under `key`: `compiled` = it was
+  // compiled on the critical path (a miss); otherwise it came from the
+  // store, and the first such use of a usable presolve is a hit.
+  void Record(const PresolveKey& key, bool compiled);
 
-  // Launches presolves for the likely next configs (skipping any
-  // fingerprint already attempted).
-  void Speculate(const ClusterSpec& current, const std::vector<ChurnEvent>& announced,
-                 double now, double host_mtbf_seconds);
-
-  // Blocks until every launched presolve has finished.
+  // Blocks until every claimed presolve has finished.
   void Drain();
 
-  // Presolve-cache lookup for the configuration the cluster actually
-  // reached. Returns the plan on a hit; nullopt on a miss (never
-  // speculated, still in flight, or the presolve failed). Counts the
-  // hit/miss metrics. Call Drain() first for deterministic outcomes.
-  std::optional<ParallelPlan> Fetch(const ClusterSpec& target);
-
-  int64_t speculations() const;
-  int64_t hits() const;
-  int64_t misses() const;
-  // Presolved-and-usable configs never fetched so far; also publishes the
-  // ilp.elastic.wasted_presolves gauge.
-  int64_t WastedPresolves() const;
+  SpeculationCounts counts() const;
 
  private:
-  struct Entry {
-    bool done = false;
-    bool fetched = false;
-    bool usable = false;  // done && the solve succeeded.
-    ParallelPlan plan;
-  };
+  enum class State { kInFlight, kFailed, kUsable, kUsed };
 
-  void Presolve(uint64_t fingerprint, ClusterSpec cluster);
+  void Presolve(const PresolveKey& key, const ClusterSpec& cluster,
+                const std::function<bool(const ClusterSpec&)>& presolve);
 
-  const SolveFn solve_;
-  const SpeculationOptions options_;
   ThreadPool* const pool_;
 
   mutable std::mutex mu_;
   std::condition_variable idle_;
   int in_flight_ = 0;
-  std::map<uint64_t, Entry> cache_;
-  PresolvedHook hook_;
-  int64_t speculations_ = 0;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
+  std::map<PresolveKey, State> claims_;
+  SpeculationCounts counts_;
 };
 
 }  // namespace elastic

@@ -116,6 +116,22 @@ const DeviceSpec& ClusterSpec::host_device(int host) const {
   return host_devices[static_cast<size_t>(host)];
 }
 
+ClusterSpec ClusterSpec::WithoutHosts(const std::set<int>& hosts) const {
+  ALPA_CHECK(hosts.empty() || (*hosts.begin() >= 0 && *hosts.rbegin() < num_hosts));
+  ALPA_CHECK_LT(static_cast<int>(hosts.size()), num_hosts);
+  ClusterSpec survivors = *this;
+  survivors.num_hosts = num_hosts - static_cast<int>(hosts.size());
+  if (!host_devices.empty()) {
+    survivors.host_devices.clear();
+    for (int h = 0; h < num_hosts; ++h) {
+      if (hosts.count(h) == 0) {
+        survivors.host_devices.push_back(host_devices[static_cast<size_t>(h)]);
+      }
+    }
+  }
+  return survivors;
+}
+
 double ClusterSpec::HostTimeScale(int host, Precision precision) const {
   const DeviceSpec& actual = host_device(host);
   const double flops_ratio =

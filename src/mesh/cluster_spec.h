@@ -8,6 +8,7 @@
 #define SRC_MESH_CLUSTER_SPEC_H_
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,12 @@ struct ClusterSpec {
   // The generation running host `h` (the reference `device` when no
   // override exists).
   const DeviceSpec& host_device(int host) const;
+
+  // This cluster without the hosts in `hosts`: the survivors keep their
+  // generation overrides in order (a homogeneous cluster stays
+  // homogeneous), every other field is copied. Each index must name a
+  // host, and at least one host must survive; callers check both first.
+  ClusterSpec WithoutHosts(const std::set<int>& hosts) const;
 
   // How much LONGER a stage profiled on the reference generation runs on
   // host `host`: the max of the compute-throughput and HBM-bandwidth

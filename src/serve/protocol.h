@@ -78,9 +78,9 @@ struct ServeResponse {
   // plan.compile_stats.max_optimality_gap so dashboards need not decode
   // the plan.
   double optimality_gap = 0.0;
-  // Speculative re-planner counters (kElasticStats, and stamped on every
-  // response when the server runs --elastic so clients can watch the
-  // hit-rate evolve without extra round trips).
+  // Speculative re-planner counters (src/elastic/speculator.h), filled
+  // only on kElasticStats responses of an --elastic server; every other
+  // response carries them zeroed.
   bool elastic_enabled = false;
   int64_t elastic_speculations = 0;
   int64_t elastic_hits = 0;

@@ -10,7 +10,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "src/elastic/speculator.h"
 #include "src/serve/plan_cache.h"
 #include "src/serve/plan_db.h"
 #include "src/support/logging.h"
@@ -279,7 +278,7 @@ void PlanServer::WorkerLoop(int worker_index) {
     // The client already has its answer; presolving the likely failover
     // configurations now costs it nothing.
     if (speculate.has_value() && running_.load(std::memory_order_relaxed)) {
-      SpeculateAfter(service, *speculate);
+      PresolveFailovers(service, *speculate);
     }
   }
 }
@@ -343,7 +342,13 @@ ServeResponse PlanServer::Execute(InProcessPlanService& service, Job& job,
           ++stats_.plan_cache_hits;
         }
         if (options_.elastic) {
-          RecordElasticParallelize(service.last_outcome(), request);
+          // A cache hit may be the first use of a presolve; a compile is a
+          // miss speculation did not cover (flight followers are neither).
+          const CompileOutcome& outcome = service.last_outcome();
+          if (outcome.plan_cache_eligible && (outcome.plan_cache_hit || outcome.compiled)) {
+            speculator_.Record({outcome.key.graph_hash, outcome.key.config_hash},
+                               outcome.compiled);
+          }
           if (speculate != nullptr && request.options.use_plan_cache) {
             *speculate = std::move(request);
           }
@@ -433,116 +438,65 @@ ServeResponse PlanServer::Execute(InProcessPlanService& service, Job& job,
       break;
     }
     case Method::kElasticStats:
-      // Counters are stamped on every response below; this method exists
-      // so clients can read them without paying for a compile.
+      if (options_.elastic) {
+        const elastic::SpeculationCounts counts = speculator_.counts();
+        response.elastic_enabled = true;
+        response.elastic_speculations = counts.speculations;
+        response.elastic_hits = counts.hits;
+        response.elastic_misses = counts.misses;
+        response.elastic_wasted = counts.wasted;
+      }
       break;
   }
-  StampElastic(&response);
   response.queue_seconds = queue_seconds;
   response.compile_seconds = NowSeconds() - start;
   return response;
 }
 
-void PlanServer::SpeculateAfter(InProcessPlanService& service, const PlanRequest& base) {
+void PlanServer::PresolveFailovers(InProcessPlanService& service, const PlanRequest& base) {
   TraceSpan span("serve.speculate", "serve");
-  static Metric* speculations_metric = Metrics::Get("ilp.elastic.speculations");
-  auto options = base.options.ToParallelizeOptions();
+  // Background work: no deadline. The candidates' keys come from the same
+  // options, so each claim names the key its presolve lands under.
+  PlanRequestOptions presolve_options = base.options;
+  presolve_options.deadline_seconds = 0.0;
+  const auto options = presolve_options.ToParallelizeOptions();
   if (!options.ok()) {
     return;
   }
-  elastic::SpeculationOptions spec;
-  spec.k = options_.speculate_k > 0 ? options_.speculate_k : 1;
-  const std::vector<elastic::CandidateConfig> candidates = elastic::EnumerateLikelyConfigs(
-      base.cluster, /*announced=*/{}, /*now=*/0.0, kSpeculateMtbfSeconds, spec);
-  for (const elastic::CandidateConfig& candidate : candidates) {
+  elastic::Presolver presolver;
+  presolver.key = [&](const ClusterSpec& cluster, elastic::PresolveKey* id) {
     if (!running_.load(std::memory_order_relaxed)) {
-      return;  // Shutdown: stop burning the worker on background work.
+      return false;  // Shutdown: stop burning the worker on background work.
     }
     PlanCacheKey key;
-    if (!ComputePlanCacheKey(base.graph, candidate.cluster, options.value(), &key)) {
-      continue;
+    if (!ComputePlanCacheKey(base.graph, cluster, options.value(), &key)) {
+      return false;
     }
-    const std::pair<uint64_t, uint64_t> id{key.graph_hash, key.config_hash};
-    {
-      std::lock_guard<std::mutex> lock(elastic_mu_);
-      if (speculative_.count(id) > 0) {
-        continue;  // Already presolved (possibly by another worker).
-      }
-    }
+    *id = {key.graph_hash, key.config_hash};
+    return true;
+  };
+  // The probe also promotes a restarted daemon's persisted plan into
+  // memory, so the failover request is a memory hit.
+  presolver.holds = [](const elastic::PresolveKey& id) {
     ParallelPlan cached;
-    if (PlanCache::Global().Lookup(key, &cached)) {
-      continue;  // Already warm without our help; not a speculation.
-    }
-    // Ride the per-worker service so the presolve shares the single-flight
-    // machinery (never duplicating a client compile of the same key) and
-    // lands in the cache + results db exactly like a client compile.
+    return PlanCache::Global().Lookup(PlanCacheKey{id.first, id.second}, &cached);
+  };
+  // Ride the per-worker service so the presolve shares the single-flight
+  // machinery (never duplicating a client compile of the same key) and
+  // lands in the cache + results db exactly like a client compile.
+  presolver.presolve = [&](const ClusterSpec& cluster) {
     PlanRequest presolve;
     presolve.graph = base.graph;
-    presolve.cluster = candidate.cluster;
-    presolve.options = base.options;
-    presolve.options.deadline_seconds = 0.0;  // Background work: no deadline.
-    {
-      std::lock_guard<std::mutex> lock(elastic_mu_);
-      ++elastic_speculations_;
-    }
-    speculations_metric->Add(1);
-    auto plan = service.Parallelize(presolve);
-    if (plan.ok()) {
-      std::lock_guard<std::mutex> lock(elastic_mu_);
-      speculative_.emplace(id, false);
-    }
-  }
-}
-
-void PlanServer::RecordElasticParallelize(const CompileOutcome& outcome,
-                                          const PlanRequest& request) {
-  static Metric* hits_metric = Metrics::Get("ilp.elastic.speculative_hits");
-  static Metric* misses_metric = Metrics::Get("ilp.elastic.speculative_misses");
-  if (!outcome.plan_cache_eligible) {
-    return;
-  }
-  auto options = request.options.ToParallelizeOptions();
-  if (!options.ok()) {
-    return;
-  }
-  PlanCacheKey key;
-  if (!ComputePlanCacheKey(request.graph, request.cluster, options.value(), &key)) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(elastic_mu_);
-  if (outcome.plan_cache_hit) {
-    auto it = speculative_.find({key.graph_hash, key.config_hash});
-    if (it != speculative_.end() && !it->second) {
-      it->second = true;
-      ++elastic_hits_;
-      hits_metric->Add(1);
-    }
-  } else if (outcome.compiled) {
-    // A cold compile speculation did not cover (the very first request for
-    // any workload lands here too — nothing could have presolved it).
-    ++elastic_misses_;
-    misses_metric->Add(1);
-  }
-}
-
-void PlanServer::StampElastic(ServeResponse* response) {
-  if (!options_.elastic) {
-    return;
-  }
-  static Metric* wasted_metric = Metrics::Get("ilp.elastic.wasted_presolves");
-  std::lock_guard<std::mutex> lock(elastic_mu_);
-  response->elastic_enabled = true;
-  response->elastic_speculations = elastic_speculations_;
-  response->elastic_hits = elastic_hits_;
-  response->elastic_misses = elastic_misses_;
-  int64_t wasted = 0;
-  for (const auto& [id, consumed] : speculative_) {
-    if (!consumed) {
-      ++wasted;
-    }
-  }
-  response->elastic_wasted = wasted;
-  wasted_metric->Set(wasted);
+    presolve.cluster = cluster;
+    presolve.options = presolve_options;
+    return service.Parallelize(presolve).ok();
+  };
+  elastic::SpeculationOptions spec;
+  spec.k = options_.speculate_k > 0 ? options_.speculate_k : 1;
+  speculator_.Speculate(elastic::EnumerateLikelyConfigs(base.cluster, /*announced=*/{},
+                                                        /*now=*/0.0, kSpeculateMtbfSeconds,
+                                                        spec),
+                        presolver);
 }
 
 }  // namespace serve

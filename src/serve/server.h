@@ -39,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/elastic/speculator.h"
 #include "src/serve/protocol.h"
 #include "src/serve/service.h"
 #include "src/support/status.h"
@@ -63,13 +64,15 @@ struct ServerOptions {
   // Disk-cache caps (LRU eviction); 0 = unbounded.
   int64_t cache_max_entries = 0;
   int64_t cache_max_bytes = 0;
-  // Speculative re-planner (--elastic). After answering a compiled
-  // Parallelize, the worker enumerates the speculate_k most-likely next
-  // cluster configurations (each host failing, deduplicated by cluster
-  // fingerprint) and presolves them into the shared plan cache before
-  // taking its next job — so a failover request for the shrunk cluster is
-  // a plan-cache hit by construction. Presolves ride the single-flight
-  // machinery, so they never duplicate a client compile in progress.
+  // Speculative re-planner (--elastic). After publishing the response to
+  // a successful Parallelize that may use the plan cache, the worker
+  // enumerates the speculate_k most-likely next cluster configurations
+  // (each host failing, deduplicated by cluster fingerprint) and presolves
+  // the ones the cache lacks through its own InProcessPlanService, with no
+  // deadline, before taking its next job — so a failover request for the
+  // shrunk cluster is a plan-cache hit by construction. Presolves ride the
+  // single-flight machinery, so they never duplicate a client compile in
+  // progress.
   bool elastic = false;
   int speculate_k = 4;
 };
@@ -131,14 +134,9 @@ class PlanServer {
                         std::optional<PlanRequest>* speculate);
   // Presolves the likely next cluster configurations of `base` into the
   // shared plan cache (through `service`, so single-flight and the results
-  // db apply). Runs on the worker thread between jobs.
-  void SpeculateAfter(InProcessPlanService& service, const PlanRequest& base);
-  // Attributes a finished Parallelize to the speculation counters: a
-  // plan-cache hit on a presolved key is a speculative hit; a cold compile
-  // is a miss speculation did not cover.
-  void RecordElasticParallelize(const CompileOutcome& outcome, const PlanRequest& request);
-  // Stamps the elastic_* observability fields (no-op without --elastic).
-  void StampElastic(ServeResponse* response);
+  // db apply), claiming each in `speculator_`. Runs on the worker thread
+  // between jobs.
+  void PresolveFailovers(InProcessPlanService& service, const PlanRequest& base);
   // True when `request` carries the configured admin identity (and one is
   // configured at all): such callers see every tenant's db records.
   bool DbAdmin(const ServeRequest& request) const {
@@ -166,14 +164,10 @@ class PlanServer {
   mutable std::mutex stats_mu_;
   ServerStats stats_;
 
-  // --elastic bookkeeping: plan-cache keys presolved by SpeculateAfter,
-  // flipped to true once a client request consumed one (still-false
-  // entries are the "wasted presolves" gauge).
-  mutable std::mutex elastic_mu_;
-  std::map<std::pair<uint64_t, uint64_t>, bool> speculative_;
-  int64_t elastic_speculations_ = 0;
-  int64_t elastic_hits_ = 0;
-  int64_t elastic_misses_ = 0;
+  // --elastic: the plan-cache keys this server presolved, and the counters
+  // kElasticStats reports. One per server, so a restarted daemon starts
+  // with an empty ledger.
+  elastic::Speculator speculator_{/*pool=*/nullptr};
 };
 
 }  // namespace serve

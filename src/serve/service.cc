@@ -89,6 +89,7 @@ StatusOr<ParallelPlan> InProcessPlanService::Parallelize(const PlanRequest& requ
       request.options.use_plan_cache &&
       ComputePlanCacheKey(request.graph, request.cluster, options.value(), &key);
   last_outcome_.plan_cache_eligible = cacheable;
+  last_outcome_.key = key;
   if (cacheable) {
     // Single-flight: hit the cache, ride a concurrent compile of the same
     // key, or get elected leader. Only the leader runs the compiler. A

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "src/core/api.h"
+#include "src/serve/plan_cache.h"
 #include "src/support/status.h"
 
 namespace alpa {
@@ -113,6 +114,10 @@ class PlanService {
 struct CompileOutcome {
   bool plan_cache_hit = false;
   bool plan_cache_eligible = false;
+  // The request's plan-cache key, valid when plan_cache_eligible. The
+  // --elastic daemon records the served plan under it in its speculation
+  // ledger instead of hashing the request a second time.
+  PlanCacheKey key;
   // This call ran the compiler (single-flight leader or uncacheable
   // request) rather than riding a cache hit or another caller's compile.
   bool compiled = false;

@@ -1,11 +1,18 @@
 // Tests of the elastic runtime (src/elastic): churn stream determinism,
 // LiveCluster mutation semantics, speculative-candidate enumeration, the
-// full replan loop's bit-identical fingerprint across thread counts and
-// reruns, the speculative-vs-reactive goodput ordering, the ilp.elastic.*
-// metrics, heterogeneity-aware stage assignment on mixed-generation
-// clusters, and the RepairPlan zero-feasible-submeshes regression.
+// speculation ledger's claims and counters, the full replan loop's
+// bit-identical fingerprint across thread counts and reruns, the
+// speculative-vs-reactive goodput ordering, the elastic/* metrics,
+// heterogeneity-aware stage assignment on mixed-generation clusters, and
+// the RepairPlan zero-feasible-submeshes regression.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "src/core/api.h"
@@ -14,6 +21,7 @@
 #include "src/elastic/speculator.h"
 #include "src/models/gpt.h"
 #include "src/models/mlp.h"
+#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 
 namespace alpa {
@@ -137,6 +145,164 @@ TEST(Speculator, MixedGenerationFailuresStayDistinct) {
   EXPECT_EQ(candidates[0].cluster.num_hosts, 3);
 }
 
+CandidateConfig Candidate(int hosts) {
+  CandidateConfig candidate;
+  candidate.cluster = ClusterSpec::AwsP3(hosts, 2);
+  return candidate;
+}
+
+PresolveKey KeyOf(int hosts) { return {ClusterSpec::AwsP3(hosts, 2).Fingerprint(), 0}; }
+
+// The plan store of the ledger tests: the keys it holds and how many
+// presolves ran. `usable` decides each presolve's outcome.
+struct TestStore {
+  std::mutex mu;
+  std::set<PresolveKey> held;
+  std::atomic<int> presolves{0};
+  std::function<bool(const ClusterSpec&)> usable = [](const ClusterSpec&) { return true; };
+
+  Presolver presolver() {
+    Presolver presolver;
+    presolver.key = [](const ClusterSpec& cluster, PresolveKey* key) {
+      *key = {cluster.Fingerprint(), 0};
+      return true;
+    };
+    presolver.holds = [this](const PresolveKey& key) {
+      std::lock_guard<std::mutex> lock(mu);
+      return held.count(key) > 0;
+    };
+    presolver.presolve = [this](const ClusterSpec& cluster) {
+      ++presolves;
+      if (!usable(cluster)) {
+        return false;
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      held.insert({cluster.Fingerprint(), 0});
+      return true;
+    };
+    return presolver;
+  }
+};
+
+TEST(Speculator, ConcurrentSpeculationsOfOneCandidatePresolveOnce) {
+  Speculator speculator(/*pool=*/nullptr);
+  TestStore store;
+  // The first thread's presolve blocks until the second thread has
+  // speculated the same candidate: the store does not hold the plan yet,
+  // so only the claim can stop a second presolve.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  Presolver presolver = store.presolver();
+  presolver.presolve = [&, presolve = presolver.presolve](const ClusterSpec& cluster) {
+    std::unique_lock<std::mutex> lock(mu);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+    return presolve(cluster);
+  };
+  const std::vector<CandidateConfig> candidates = {Candidate(1)};
+  std::thread first([&] { speculator.Speculate(candidates, presolver); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
+  std::thread second([&] { speculator.Speculate(candidates, presolver); });
+  second.join();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  first.join();
+
+  EXPECT_EQ(store.presolves.load(), 1);
+  const SpeculationCounts counts = speculator.counts();
+  EXPECT_EQ(counts.speculations, 1);
+  EXPECT_EQ(counts.wasted, 1);
+}
+
+TEST(Speculator, FailedPresolveIsNeitherRetriedNorWasted) {
+  Speculator speculator(/*pool=*/nullptr);
+  TestStore store;
+  store.usable = [](const ClusterSpec&) { return false; };
+  const Presolver presolver = store.presolver();
+  speculator.Speculate({Candidate(1)}, presolver);
+  // A later hit of the request that seeded it speculates the same
+  // candidate again.
+  speculator.Record(KeyOf(2), /*compiled=*/false);
+  speculator.Speculate({Candidate(1)}, presolver);
+
+  EXPECT_EQ(store.presolves.load(), 1);
+  const SpeculationCounts counts = speculator.counts();
+  EXPECT_EQ(counts.speculations, 1);
+  EXPECT_EQ(counts.failed, 1);
+  EXPECT_EQ(counts.wasted, 0);
+  EXPECT_EQ(counts.hits, 0);
+}
+
+TEST(Speculator, FirstUseIsAHitSecondIsNeitherCompileIsAMiss) {
+  Speculator speculator(/*pool=*/nullptr);
+  TestStore store;
+  speculator.Speculate({Candidate(1), Candidate(2)}, store.presolver());
+  EXPECT_EQ(speculator.counts().speculations, 2);
+  EXPECT_EQ(speculator.counts().wasted, 2);
+
+  speculator.Record(KeyOf(1), /*compiled=*/false);
+  SpeculationCounts counts = speculator.counts();
+  EXPECT_EQ(counts.hits, 1);
+  EXPECT_EQ(counts.wasted, 1);
+
+  speculator.Record(KeyOf(1), /*compiled=*/false);  // Second use.
+  speculator.Record(KeyOf(3), /*compiled=*/false);  // Stored, never presolved.
+  counts = speculator.counts();
+  EXPECT_EQ(counts.hits, 1);
+  EXPECT_EQ(counts.wasted, 1);
+  EXPECT_EQ(counts.misses, 0);
+
+  speculator.Record(KeyOf(4), /*compiled=*/true);
+  counts = speculator.counts();
+  EXPECT_EQ(counts.misses, 1);
+  EXPECT_EQ(counts.hits, 1);
+  EXPECT_EQ(counts.speculations, 2);
+}
+
+TEST(Speculator, StoredCandidateIsNotPresolved) {
+  Speculator speculator(/*pool=*/nullptr);
+  TestStore store;
+  store.held.insert(KeyOf(1));
+  speculator.Speculate({Candidate(1), Candidate(2)}, store.presolver());
+  EXPECT_EQ(store.presolves.load(), 1);
+  EXPECT_EQ(speculator.counts().speculations, 1);
+  EXPECT_EQ(speculator.counts().wasted, 1);
+}
+
+TEST(Speculator, DrainedLedgerBalances) {
+  ThreadPool pool(3);  // Outlives the speculator.
+  TestStore store;
+  store.usable = [](const ClusterSpec& cluster) { return cluster.num_hosts % 3 != 0; };
+  Speculator speculator(&pool);
+  std::vector<CandidateConfig> candidates;
+  for (int hosts = 1; hosts <= 9; ++hosts) {
+    candidates.push_back(Candidate(hosts));
+  }
+  speculator.Speculate(candidates, store.presolver());
+  speculator.Drain();
+  for (int hosts = 1; hosts <= 4; ++hosts) {
+    speculator.Record(KeyOf(hosts), /*compiled=*/false);
+  }
+  speculator.Record(KeyOf(2), /*compiled=*/false);
+
+  EXPECT_EQ(store.presolves.load(), 9);
+  const SpeculationCounts counts = speculator.counts();
+  EXPECT_EQ(counts.speculations, 9);
+  EXPECT_EQ(counts.failed, 3);  // 3, 6 and 9 hosts.
+  EXPECT_EQ(counts.hits, 3);    // 1, 2 and 4 hosts.
+  EXPECT_EQ(counts.wasted, 3);  // 5, 7 and 8 hosts.
+  EXPECT_EQ(counts.speculations, counts.hits + counts.wasted + counts.failed);
+}
+
 TEST(Elastic, FingerprintIdenticalAcrossThreadsAndReruns) {
   const Graph graph = BuildMlp(MlpConfig{});
   const ClusterSpec initial = ClusterSpec::AwsP3(2, 2);
@@ -200,10 +366,10 @@ TEST(Elastic, MetricsPublished) {
       RunElasticLoop(graph, ClusterSpec::AwsP3(2, 2), MlpOptions(), elastic);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_GT(run->speculations, 0);
-  EXPECT_EQ(Metrics::Value("ilp.elastic.speculations"), run->speculations);
-  EXPECT_EQ(Metrics::Value("ilp.elastic.speculative_hits"), run->speculative_hits);
-  EXPECT_EQ(Metrics::Value("ilp.elastic.speculative_misses"), run->speculative_misses);
-  EXPECT_EQ(Metrics::Value("ilp.elastic.wasted_presolves"), run->wasted_presolves);
+  EXPECT_EQ(Metrics::Value("elastic/speculations"), run->speculations);
+  EXPECT_EQ(Metrics::Value("elastic/speculative_hits"), run->speculative_hits);
+  EXPECT_EQ(Metrics::Value("elastic/speculative_misses"), run->speculative_misses);
+  EXPECT_EQ(Metrics::Value("elastic/wasted_presolves"), run->wasted_presolves);
 }
 
 TEST(Elastic, InfeasibleInitialClusterErrors) {

@@ -3,6 +3,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,6 +70,36 @@ TEST(ClusterSpec, ValidateRejectsEachMalformedField) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
     EXPECT_NE(status.message().find(field), std::string::npos) << status.message();
   }
+}
+
+TEST(ClusterSpec, WithoutHostsKeepsSurvivorGenerationsInOrder) {
+  // Three distinct generations, so every survivor list shows its order:
+  // host 0 V100, host 1 A100, host 2 H100.
+  ClusterSpec mixed = ClusterSpec::MixedGeneration(1, 2, /*devices_per_host=*/2);
+  mixed.host_devices[2] = DeviceSpec::H100();
+  mixed.faults.device_failures.push_back({0, 1.0});
+  const std::vector<std::pair<std::set<int>, std::vector<DeviceSpec>>> cases = {
+      {{0}, {DeviceSpec::A100(), DeviceSpec::H100()}},     // First host.
+      {{1}, {DeviceSpec::V100(), DeviceSpec::H100()}},     // A middle host.
+      {{2}, {DeviceSpec::V100(), DeviceSpec::A100()}},     // Last host.
+      {{0, 2}, {DeviceSpec::A100()}},
+      {{}, {DeviceSpec::V100(), DeviceSpec::A100(), DeviceSpec::H100()}},
+  };
+  for (const auto& [dropped, generations] : cases) {
+    const ClusterSpec survivors = mixed.WithoutHosts(dropped);
+    EXPECT_EQ(survivors.num_hosts, static_cast<int>(generations.size()));
+    EXPECT_EQ(survivors.host_devices, generations);
+    EXPECT_TRUE(survivors.Validate().ok());
+    // Everything but the host list is copied.
+    EXPECT_EQ(survivors.devices_per_host, 2);
+    EXPECT_EQ(survivors.inter_host_bandwidth, mixed.inter_host_bandwidth);
+    EXPECT_EQ(survivors.faults.device_failures.size(), 1u);
+  }
+  // A homogeneous cluster stays homogeneous.
+  const ClusterSpec homogeneous = ClusterSpec::AwsP3(3, 2).WithoutHosts({1});
+  EXPECT_EQ(homogeneous.num_hosts, 2);
+  EXPECT_TRUE(homogeneous.host_devices.empty());
+  EXPECT_EQ(homogeneous.Fingerprint(), ClusterSpec::AwsP3(2, 2).Fingerprint());
 }
 
 TEST(DeviceMesh, SingleHostAxesUseNvlink) {

@@ -620,6 +620,46 @@ TEST_F(ServeTest, ElasticSpeculationServesFailoverFromCache) {
   server.Stop();
 }
 
+TEST_F(ServeTest, ElasticPresolveOfADeadlineRequestIsFiledUnderItsOwnKey) {
+  ServerOptions options;
+  options.socket_path = socket_path_;
+  options.elastic = true;
+  PlanServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  RemotePlanService client(socket_path_);
+
+  // The seeding request's deadline scales its search budget (30 s x 2e5
+  // nodes/s, under the explicit 1e7 cap) into its cache key. Its presolve
+  // runs without a deadline, so the ledger must file it under the
+  // deadline-free key the failover request below hits.
+  PlanRequest request = MlpRequest(1);
+  request.cluster = ClusterSpec::AwsP3(2, 2);
+  request.options.max_search_nodes = 10'000'000;
+  request.options.deadline_seconds = 30.0;
+  ASSERT_TRUE(client.Parallelize(request).ok());
+  StatusOr<ServeResponse> stats = Status::Unavailable("not polled yet");
+  for (int i = 0; i < 100; ++i) {
+    stats = client.ElasticStats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    if (stats->elastic_wasted >= 1) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ASSERT_EQ(stats->elastic_wasted, 1);
+
+  PlanRequest failover = MlpRequest(1);
+  failover.cluster = ClusterSpec::AwsP3(1, 2);
+  failover.options.max_search_nodes = 10'000'000;
+  ASSERT_TRUE(client.Parallelize(failover).ok());
+  EXPECT_EQ(server.stats().plan_cache_hits, 1);
+  stats = client.ElasticStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->elastic_hits, 1);
+  EXPECT_EQ(stats->elastic_wasted, 0);
+  server.Stop();
+}
+
 TEST_F(ServeTest, ElasticStatsDisabledByDefault) {
   ServerOptions options;
   options.socket_path = socket_path_;
