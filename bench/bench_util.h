@@ -197,8 +197,8 @@ class JsonReport {
 };
 
 // The bounded ILP search budget every bench lane compiles under. Cores the
-// search cannot prove within it return the portfolio's best incumbent with
-// a proven gap (under 1e-5 on the fig8 GPT-2.6B sweep; see EXPERIMENTS.md).
+// search cannot prove within it return the branch & bound's best incumbent
+// with a proven gap (under 1e-5 on the fig8 GPT-2.6B sweep; see EXPERIMENTS.md).
 inline constexpr int64_t kBenchSearchBudget = 60'000;
 
 // Configures the shared BaselineOptionTemplate through the options builder:

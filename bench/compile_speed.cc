@@ -1,6 +1,5 @@
 // Compile-speed benchmark for the ILP solver pipeline (presolve + variable
-// elimination + the search portfolio, i.e. flat branch & bound raced by
-// GRASP and simulated annealing on budget aborts).
+// elimination + the diffusion-bounded flat branch & bound).
 //
 // Compilations of the fig8 GPT setting (GPT-2.6B on 8 GPUs, 16 target
 // layers) drive the measurement:
@@ -40,9 +39,6 @@ struct PresolveSnapshot {
   long long aborted = 0;
   long long explored = 0;
   long long gap_ppm_sum = 0;
-  long long portfolio_races = 0;
-  long long portfolio_handoffs = 0;
-  long long portfolio_prunes = 0;
   long long elim_solved = 0;
   long long elim_bailed = 0;
   long long elim_cells = 0;
@@ -85,9 +81,6 @@ struct PresolveSnapshot {
     s.aborted = Metrics::Value("ilp/outcome/aborted");
     s.explored = Metrics::Value("ilp/outcome/explored");
     s.gap_ppm_sum = Metrics::Value("ilp/outcome/gap_ppm_sum");
-    s.portfolio_races = Metrics::Value("ilp/portfolio/races");
-    s.portfolio_handoffs = Metrics::Value("ilp/portfolio/incumbent_handoffs");
-    s.portfolio_prunes = Metrics::Value("ilp/portfolio/bound_prunes");
     return s;
   }
   PresolveSnapshot Delta(const PresolveSnapshot& before) const {
@@ -102,9 +95,6 @@ struct PresolveSnapshot {
     d.aborted = aborted - before.aborted;
     d.explored = explored - before.explored;
     d.gap_ppm_sum = gap_ppm_sum - before.gap_ppm_sum;
-    d.portfolio_races = portfolio_races - before.portfolio_races;
-    d.portfolio_handoffs = portfolio_handoffs - before.portfolio_handoffs;
-    d.portfolio_prunes = portfolio_prunes - before.portfolio_prunes;
     d.elim_solved = elim_solved - before.elim_solved;
     d.elim_bailed = elim_bailed - before.elim_bailed;
     d.elim_cells = elim_cells - before.elim_cells;
@@ -210,11 +200,6 @@ int main(int argc, char** argv) {
       std::printf("%-14s anytime: max gap %.4f%%, mean gap %.4f%% over %lld aborts\n", "",
                   max_gap * 100.0, mean_gap * 100.0, d.aborted);
     }
-    if (d.portfolio_races > 0) {
-      std::printf("%-14s portfolio: %lld races, %lld incumbent handoffs,"
-                  " %lld root branches bound-pruned\n",
-                  "", d.portfolio_races, d.portfolio_handoffs, d.portfolio_prunes);
-    }
     std::fflush(stdout);
     report.AddRow()
         .Str("run", name)
@@ -245,10 +230,7 @@ int main(int argc, char** argv) {
         .Num("core_key_seconds", d.key_micros * 1e-6)
         .Num("search_seconds", d.bnb_micros * 1e-6)
         .Num("diffusion_seconds", d.diffusion_micros * 1e-6)
-        .Int("diffusion_sweeps", d.diffusion_sweeps)
-        .Int("portfolio_races", d.portfolio_races)
-        .Int("portfolio_incumbent_handoffs", d.portfolio_handoffs)
-        .Int("portfolio_bound_prunes", d.portfolio_prunes);
+        .Int("diffusion_sweeps", d.diffusion_sweeps);
     return r;
   };
 

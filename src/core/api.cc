@@ -273,13 +273,14 @@ StatusOr<RepairResult> RepairPlan(Graph& graph, const ClusterSpec& cluster,
   // submeshes and must be rejected, not compiled for a phantom cluster.
   std::set<int> dead_hosts = {options.failed_host};
   for (const DeviceFailure& failure : cluster.faults.device_failures) {
-    const int host = failure.device / std::max(cluster.devices_per_host, 1);
-    if (host < 0 || host >= cluster.num_hosts) {
+    // Range-check the device itself: division truncates toward zero, so a
+    // small negative device would otherwise map to host 0.
+    if (failure.device < 0 || failure.device >= cluster.num_devices()) {
       return Status::InvalidArgument(
           StrFormat("fault scenario names device %d outside the cluster's %d devices",
                     failure.device, cluster.num_devices()));
     }
-    dead_hosts.insert(host);
+    dead_hosts.insert(failure.device / cluster.devices_per_host);
   }
   if (static_cast<int>(dead_hosts.size()) == cluster.num_hosts) {
     return Status::InvalidArgument(

@@ -20,9 +20,6 @@
 namespace alpa {
 namespace serve {
 
-namespace {
-
-// Reads a whole file; false on any error.
 bool ReadFile(const std::string& path, std::string* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -34,10 +31,6 @@ bool ReadFile(const std::string& path, std::string* out) {
   return static_cast<bool>(in);
 }
 
-// Writes a whole file atomically. The temp name carries the pid and a
-// process-local counter so concurrent writers — even across daemon
-// processes sharing one cache dir — never collide on the staging file;
-// rename() then makes the last completed write win atomically.
 bool WriteFileAtomic(const std::string& path, const std::string& data) {
   static std::atomic<uint64_t> counter{0};
   const std::string tmp =
@@ -60,6 +53,8 @@ bool WriteFileAtomic(const std::string& path, const std::string& data) {
   }
   return true;
 }
+
+namespace {
 
 // Checks only the envelope header (magic + version) — enough to decide
 // whether a persisted entry belongs to this wire format without decoding
@@ -527,7 +522,6 @@ bool ComputePlanCacheKey(const Graph& graph, const ClusterSpec& cluster,
   hasher.Bool(intra.rematerialize);
   hasher.I64(intra.solver.max_search_nodes);
   hasher.I64(intra.solver.max_elimination_table);
-  hasher.Bool(intra.solver.use_core_memo);
   hasher.U64(profile_fingerprint);
   key->config_hash = hasher.hash();
   return true;

@@ -192,6 +192,15 @@ class PlanCache {
 bool ComputePlanCacheKey(const Graph& graph, const ClusterSpec& cluster,
                          const ParallelizeOptions& options, PlanCacheKey* key);
 
+// File helpers of the on-disk stores (this cache and the results database).
+// ReadFile reads a whole file; false on any error.
+bool ReadFile(const std::string& path, std::string* out);
+// Writes a whole file atomically: a temp file named by pid and a
+// process-local counter, so concurrent writers (even across daemon
+// processes sharing one dir) never collide on it, then rename(), so the
+// last completed write wins and readers never see a torn file.
+bool WriteFileAtomic(const std::string& path, const std::string& data);
+
 }  // namespace serve
 }  // namespace alpa
 

@@ -1,58 +1,13 @@
 #include "src/serve/plan_db.h"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <utility>
 
 #include "src/support/strings.h"
 
 namespace alpa {
 namespace serve {
-
-namespace {
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return static_cast<bool>(in);
-}
-
-// Unique temp + rename, same contract as the plan cache's writer: safe
-// against concurrent writers sharing one directory.
-bool WriteFileAtomic(const std::string& path, const std::string& data) {
-  static std::atomic<uint64_t> counter{0};
-  const std::string tmp =
-      StrFormat("%s.tmp.%d.%llu", path.c_str(), static_cast<int>(::getpid()),
-                static_cast<unsigned long long>(counter.fetch_add(1)));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    if (!out) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 void EncodePlanRecord(const PlanRecord& record, WireWriter* w) {
   w->U64(record.key.graph_hash);

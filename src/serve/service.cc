@@ -48,7 +48,7 @@ StatusOr<ParallelizeOptions> PlanRequestOptions::ToParallelizeOptions() const {
     // Cap the per-solve budget so the whole compile has a chance of
     // landing inside the deadline, above a 1000-node floor. Capped budgets
     // are where searches abort; an aborted solve still returns the
-    // portfolio's best incumbent with a proven gap.
+    // search's best incumbent with a proven gap.
     const int64_t deadline_budget =
         std::max<int64_t>(1000, static_cast<int64_t>(deadline_seconds * kSearchNodesPerSecond));
     budget = std::min(budget, deadline_budget);

@@ -246,10 +246,15 @@ struct Searcher {
 
 }  // namespace
 
-FlatSearchResult SolveCoreOnFlat(const FlatCore& f, const FlatSearchOptions& options) {
+FlatSearchResult SolveCore(const IlpProblem& core, const FlatSearchOptions& options) {
   FlatSearchResult result;
-  result.choice.assign(static_cast<size_t>(f.n), 0);
   result.objective = 0.0;
+  if (core.num_nodes() == 0) {
+    result.feasible = true;
+    return result;
+  }
+  const FlatCore f = BuildFlatCore(core);
+  result.choice.assign(static_cast<size_t>(f.n), 0);
 
   // The initial incumbent: the ICM-polished per-node argmin start.
   const std::vector<int> start = FlatIcm(f, ArgminStart(f));
@@ -278,8 +283,6 @@ FlatSearchResult SolveCoreOnFlat(const FlatCore& f, const FlatSearchOptions& opt
       if (t.first + without_root + base.sum_edge_min >= inc_val) break;
       tasks.push_back(t);
     }
-    result.root_branches_pruned +=
-        static_cast<int64_t>(scored.size()) - static_cast<int64_t>(tasks.size());
 
     double comp_obj = inc_val;
     const std::vector<int>* comp_choice_src = &start;
@@ -394,17 +397,6 @@ FlatSearchResult SolveCoreOnFlat(const FlatCore& f, const FlatSearchOptions& opt
     result.lower_bound = result.objective;
   }
   return result;
-}
-
-FlatSearchResult SolveCore(const IlpProblem& core, const FlatSearchOptions& options) {
-  if (core.num_nodes() == 0) {
-    FlatSearchResult result;
-    result.objective = 0.0;
-    result.feasible = true;
-    return result;
-  }
-  const FlatCore f = BuildFlatCore(core);
-  return SolveCoreOnFlat(f, options);
 }
 
 }  // namespace alpa

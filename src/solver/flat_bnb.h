@@ -1,7 +1,8 @@
-// Flat-memory branch & bound over a presolved ILP core (the exact engine of
-// the solver portfolio, stage 3 of the staged pipeline).
+// Flat-memory branch & bound over a presolved ILP core: the solver's one
+// search engine, stage 3 of the staged pipeline.
 //
-// The core lives in the shared FlatCore arenas (src/solver/flat_core). The
+// The core is loaded into FlatCore arenas (src/solver/flat_core), whose
+// min-sum diffusion tightens the bound before the search starts. The
 // search maintains, per unassigned node, a "conditioned" cost vector —
 // unary cost plus the matrix rows of every already-assigned neighbor —
 // which serves double duty:
@@ -56,19 +57,14 @@ struct FlatSearchResult {
   // components, of min(component objective, weakest unexplored root-branch
   // bound). (objective - lower_bound) is the absolute optimality gap.
   double lower_bound = 0.0;
-  // Root choices whose pre-push bound already exceeded the initial
-  // incumbent's value (the ICM-polished per-node argmin start), so their
-  // whole subtree was pruned before any search.
-  int64_t root_branches_pruned = 0;
 };
 
 // Exact search over `core` (a simple graph; parallel edges must already be
-// merged). Deterministic: same core and options give the same result.
+// merged): builds the flat arenas, diffuses, then searches. A search that
+// runs out of budget while its proven bound already meets its incumbent is
+// reported as complete. Deterministic: same core and options give the same
+// result, for any thread count.
 FlatSearchResult SolveCore(const IlpProblem& core, const FlatSearchOptions& options);
-
-// Same search on an already-built FlatCore (the portfolio builds the arenas
-// once and shares them across engines). `f` must have >= 1 node.
-FlatSearchResult SolveCoreOnFlat(const FlatCore& f, const FlatSearchOptions& options);
 
 }  // namespace alpa
 

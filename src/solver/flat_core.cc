@@ -448,18 +448,4 @@ double ComponentValue(const FlatCore& f, const std::vector<int>& nodes,
   return total;
 }
 
-double FlatValue(const FlatCore& f, const std::vector<int>& choice) {
-  double total = 0.0;
-  for (int v = 0; v < f.n; ++v) {
-    total += f.unary[static_cast<size_t>(f.off[static_cast<size_t>(v)] + choice[static_cast<size_t>(v)])];
-    for (int a = f.arc_off[static_cast<size_t>(v)]; a < f.arc_off[static_cast<size_t>(v) + 1]; ++a) {
-      const FlatCore::Arc& arc = f.arcs[static_cast<size_t>(a)];
-      if (arc.peer > v) {
-        total += f.ArcCost(arc, choice[static_cast<size_t>(v)], choice[static_cast<size_t>(arc.peer)]);
-      }
-    }
-  }
-  return total;
-}
-
 }  // namespace alpa

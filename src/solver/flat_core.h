@@ -1,11 +1,11 @@
-// Flat contiguous storage for a presolved ILP core, shared by every engine
-// in the solver portfolio (flat branch & bound, GRASP, simulated annealing).
+// Flat contiguous storage for a presolved ILP core, the input of the flat
+// branch & bound (src/solver/flat_bnb).
 //
 // The core (output of Presolve) is loaded into contiguous arenas: one flat
 // cost vector for all node choices and one arena holding every edge matrix
-// twice (row-major from each endpoint, transpose materialized), so the hot
-// loops of all three engines are linear scans with no pointer chasing or
-// branchy orientation checks. Node v's choice k lives at off[v] + k in
+// twice (row-major from each endpoint, transpose materialized), so the
+// search's hot loops are linear scans with no pointer chasing or branchy
+// orientation checks. Node v's choice k lives at off[v] + k in
 // every per-choice array; each Arc lookup is a single
 // base + self * K(peer) + peer index.
 //
@@ -53,35 +53,34 @@ struct FlatCore {
   int64_t total_choices() const { return static_cast<int64_t>(unary.size()); }
 
   // Pairwise cost between v (choosing i) and the peer of arc a (at its
-  // current choice) — the hot lookup of every engine.
+  // current choice) — the hot lookup of the search and its ICM polish.
   double ArcCost(const Arc& a, int i, int peer_choice) const {
     return arena[static_cast<size_t>(a.base + static_cast<int64_t>(i) * K(a.peer) + peer_choice)];
   }
 };
 
 // Loads `p` (a simple graph; parallel edges must already be merged) into
-// flat storage. Deterministic.
+// flat storage, then runs min-sum diffusion: it moves cost between the
+// unary and edge tables without changing any full assignment's value, and
+// tightens the per-node and per-edge minima that bound the search.
+// Deterministic.
 FlatCore BuildFlatCore(const IlpProblem& p);
 
-// Per-node argmin start (first-wins on ties, like the legacy solver).
+// Per-node argmin start (first-wins on ties).
 std::vector<int> ArgminStart(const FlatCore& f);
 
 // Iterated conditional modes on the flat arrays: sweep until no single-node
 // move improves (first-wins argmin per node, bounded sweeps). A node whose
 // neighbors have not moved since its last evaluation is already at its
 // conditional argmin, so a dirty worklist skips it while reproducing the
-// full-sweep trajectory exactly. This is the shared local-search polish:
-// branch & bound applies it to every incumbent candidate and GRASP applies
-// it to every randomized construction.
+// full-sweep trajectory exactly. Branch & bound polishes its argmin start
+// with it into the initial incumbent.
 std::vector<int> FlatIcm(const FlatCore& f, std::vector<int> choice);
 
 // Objective of a full assignment restricted to one component (clamped
 // space; each edge counted once).
 double ComponentValue(const FlatCore& f, const std::vector<int>& nodes,
                       const std::vector<int>& full);
-
-// Objective of a full assignment over the whole core (clamped space).
-double FlatValue(const FlatCore& f, const std::vector<int>& choice);
 
 }  // namespace alpa
 

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "src/solver/elimination.h"
+#include "src/solver/flat_bnb.h"
 #include "src/solver/ilp_presolve.h"
-#include "src/solver/portfolio.h"
 #include "src/support/hashing.h"
 #include "src/support/logging.h"
 #include "src/support/trace.h"
@@ -172,7 +172,7 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
 
   static Metric* dp_path = Metrics::Get("ilp/path/dp");
   static Metric* elim_path = Metrics::Get("ilp/path/elim");
-  static Metric* portfolio_path = Metrics::Get("ilp/path/portfolio");
+  static Metric* search_path = Metrics::Get("ilp/path/search");
   static Metric* memo_hits = Metrics::Get("ilp/core_memo/hits");
   static Metric* memo_misses = Metrics::Get("ilp/core_memo/misses");
 
@@ -190,34 +190,32 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
     return solution;
   }
 
+  // Two keys into one memo table. Elimination ignores the search budget, so
+  // its (exact, deterministic) results are stored under a budget-free key
+  // and hit across solves with different budgets. Search results depend on
+  // the budget (ties and incumbents on aborts), so they key on it too. The
+  // elimination cap participates in both keys: elimination and search are
+  // both exact but tie-break differently. The core is hashed once, for
+  // both keys.
+  static Metric* key_micros = Metrics::Get("ilp/core_memo/key_micros");
+  const auto key_t0 = std::chrono::steady_clock::now();
+  const uint64_t core_fingerprint = IlpProblemFingerprint(pre.core);
+  const uint64_t exact_key = WordHash64()
+                                 .U64(0x45'4c'49'4dULL)  // Salt disjoint from the full key.
+                                 .U64(core_fingerprint)
+                                 .I64(options_.max_elimination_table)
+                                 .hash();
+  const uint64_t full_key = WordHash64()
+                                .U64(core_fingerprint)
+                                .I64(options_.max_search_nodes)
+                                .I64(options_.max_elimination_table)
+                                .hash();
+  key_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - key_t0)
+                      .count());
   CoreEntry entry;
-  uint64_t exact_key = 0;
-  uint64_t full_key = 0;
   bool have_entry = false;
-  if (options_.use_core_memo) {
-    // Two keys into one table. Elimination ignores the search budget, so
-    // its (exact, deterministic) results are stored under a budget-free key
-    // and hit across solves with different budgets. Search results depend
-    // on the budget (ties and incumbents on aborts), so they key on it too.
-    // The elimination cap participates in both keys: elimination and
-    // search are both exact but tie-break differently. The core is hashed
-    // once, for both keys.
-    static Metric* key_micros = Metrics::Get("ilp/core_memo/key_micros");
-    const auto key_t0 = std::chrono::steady_clock::now();
-    const uint64_t core_fingerprint = IlpProblemFingerprint(pre.core);
-    exact_key = WordHash64()
-                    .U64(0x45'4c'49'4dULL)  // Salt disjoint from the full key.
-                    .U64(core_fingerprint)
-                    .I64(options_.max_elimination_table)
-                    .hash();
-    full_key = WordHash64()
-                   .U64(core_fingerprint)
-                   .I64(options_.max_search_nodes)
-                   .I64(options_.max_elimination_table)
-                   .hash();
-    key_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - key_t0)
-                        .count());
+  {
     CoreMemo& memo = GlobalCoreMemo();
     std::lock_guard<std::mutex> lock(memo.mu);
     auto it = memo.entries.find(exact_key);
@@ -240,11 +238,10 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
       entry.choice = std::move(*eliminated);
       entry.by_elimination = true;
     } else {
-      PortfolioOptions popt;
-      popt.budget = std::max<int64_t>(1, options_.max_search_nodes);
-      popt.pool = options_.pool;
+      // Times the flat-core build, its diffusion and the search together.
       const auto bnb_t0 = std::chrono::steady_clock::now();
-      PortfolioResult res = SolvePortfolio(pre.core, popt);
+      FlatSearchResult res =
+          SolveCore(pre.core, {std::max<int64_t>(1, options_.max_search_nodes), options_.pool});
       bnb_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - bnb_t0)
                           .count());
@@ -253,16 +250,14 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
       entry.explored = res.explored;
       entry.lower_bound = res.lower_bound;
     }
-    if (options_.use_core_memo) {
-      CoreMemo& memo = GlobalCoreMemo();
-      std::lock_guard<std::mutex> lock(memo.mu);
-      if (memo.entries.size() < kCoreMemoCap) {
-        memo.entries.emplace(entry.by_elimination ? exact_key : full_key, entry);
-      }
+    CoreMemo& memo = GlobalCoreMemo();
+    std::lock_guard<std::mutex> lock(memo.mu);
+    if (memo.entries.size() < kCoreMemoCap) {
+      memo.entries.emplace(entry.by_elimination ? exact_key : full_key, entry);
     }
   }
 
-  (entry.by_elimination ? elim_path : portfolio_path)->Add(1);
+  (entry.by_elimination ? elim_path : search_path)->Add(1);
   solution.choice = pre.Reconstruct(entry.choice);
   solution.objective = raw.Evaluate(solution.choice);
   solution.nodes_explored = entry.explored;
@@ -282,7 +277,7 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
   if (entry.by_elimination) {
     solution.method = "elimination";
   } else {
-    solution.method = entry.aborted ? "portfolio(budget)" : "portfolio";
+    solution.method = entry.aborted ? "search(budget)" : "search";
   }
   solution.optimal = !entry.aborted && solution.feasible;
   RecordOutcomeMetrics(solution);

@@ -14,13 +14,9 @@
 //      variable elimination (src/solver/elimination) — real stage graphs
 //      leave cores of small induced width, solved in k^(width+1) time;
 //   3. cores whose elimination tables would blow past the cap go to the
-//      search portfolio (src/solver/portfolio): the flat-memory branch &
-//      bound (src/solver/flat_bnb) runs first under most of the budget and
-//      returns as soon as it proves optimality; only when it aborts do GRASP
-//      and simulated annealing spend the reserved slice, and the best
-//      incumbent of all rounds comes back with the search's proven lower
-//      bound. Small or starved cores skip the metaheuristics and run the
-//      plain branch & bound;
+//      flat-memory branch & bound (src/solver/flat_bnb), bounded by min-sum
+//      diffusion and run under the whole search budget. A search that
+//      exhausts the budget returns its incumbent with a proven lower bound;
 //   4. the core assignment is reconstructed to the original space and
 //      re-evaluated on the original problem.
 // Results are deterministic and independent of the thread pool. Exactness
@@ -69,7 +65,7 @@ struct IlpSolution {
   bool feasible = false;    // True if objective < inf.
   int64_t nodes_explored = 0;
   std::string method;       // "empty", "presolve" (infeasible), "dp-forest",
-                            // "elimination", "portfolio"; "(budget)" suffix
+                            // "elimination", "search"; "(budget)" suffix
                             // on aborts.
   // Proven lower bound on the optimal objective (anytime contract):
   // equals `objective` when optimal; on a budget abort it comes from the
@@ -82,26 +78,21 @@ struct IlpSolution {
 };
 
 struct IlpSolverOptions {
-  // Search-node budget of the portfolio on residual cores. Large flat-cost
-  // plateaus (many zero-communication ties) can exhaust this on big stage
-  // graphs; the solve then returns its best incumbent, marked non-optimal,
-  // with a proven lower bound.
+  // Search-node budget of the branch & bound on residual cores. Large
+  // flat-cost plateaus (many zero-communication ties) can exhaust this on
+  // big stage graphs; the solve then returns its best incumbent, marked
+  // non-optimal, with a proven lower bound.
   int64_t max_search_nodes = 300'000;
-  // Optional pool for root-level parallel branching and the portfolio's
-  // metaheuristic rounds. Plans are bit-identical with or without it
-  // (per-branch budget slices and a deterministic reduce); null means
-  // serial.
+  // Optional pool for the search's root-level parallel branching. Plans are
+  // bit-identical with or without it (per-branch budget slices and a
+  // deterministic reduce); null means serial.
   ThreadPool* pool = nullptr;
   // Residual cores are solved by exact variable elimination when every
   // elimination table fits under this many cells (the cap bounds both time
-  // and memory at ~k^(width+1)); larger-width cores fall back to the search
-  // portfolio. 0 disables elimination entirely (tests use this to force the
+  // and memory at ~k^(width+1)); larger-width cores fall back to the
+  // search. 0 disables elimination entirely (tests use this to force the
   // search path).
   int64_t max_elimination_table = int64_t{1} << 16;
-  // Memoize core solves process-wide on the presolved problem's
-  // fingerprint (plus the budget and elimination cap). Cleared by
-  // IlpMemoCache::Clear() alongside the full-solve cache.
-  bool use_core_memo = true;
 };
 
 class IlpSolver {
@@ -114,7 +105,10 @@ class IlpSolver {
   IlpSolverOptions options_;
 };
 
-// Drops every memoized core solution (see IlpSolverOptions::use_core_memo).
+// Core solves are memoized process-wide on the presolved core's fingerprint
+// plus the search budget and elimination cap, so a hit is exact. This drops
+// every memoized core solution; IlpMemoCache::Clear() calls it alongside
+// the full-solve cache.
 void ClearIlpCoreMemo();
 
 }  // namespace alpa

@@ -444,14 +444,18 @@ TEST(Repair, ZeroFeasibleSubmeshesRejected) {
 }
 
 TEST(Repair, FaultDeviceOutOfRangeRejected) {
-  Graph graph = BuildMlp(MlpConfig{});
-  ClusterSpec cluster = ClusterSpec::AwsP3(2, 2);
-  cluster.faults.device_failures.push_back({99, 0.0});
-  RepairOptions repair;
-  repair.failed_host = 0;
-  const StatusOr<RepairResult> result = RepairPlan(graph, cluster, MlpOptions(), repair);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  // Past the last device, and negative devices that truncating division
+  // would map onto host 0 (already failed, so the scenario would pass).
+  for (const int device : {99, -1, -2}) {
+    Graph graph = BuildMlp(MlpConfig{});
+    ClusterSpec cluster = ClusterSpec::AwsP3(2, 4);
+    cluster.faults.device_failures.push_back({device, 0.0});
+    RepairOptions repair;
+    repair.failed_host = 0;
+    const StatusOr<RepairResult> result = RepairPlan(graph, cluster, MlpOptions(), repair);
+    EXPECT_FALSE(result.ok()) << "device " << device;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << "device " << device;
+  }
 }
 
 TEST(Repair, FaultsOnSurvivingHostsShrinkFurther) {

@@ -84,13 +84,12 @@ IlpProblem FrustratedClique(int n) {
 
 TEST(IlpSolver, CliqueUsesBranchAndBound) {
   // K4 has treewidth 3: degree-2 series reduction cannot touch it, so with
-  // elimination disabled the residual core reaches the search portfolio,
-  // which runs the plain branch & bound on a core this small.
+  // elimination disabled the residual core reaches the branch & bound.
   const IlpProblem problem = FrustratedClique(4);
   IlpSolverOptions options;
   options.max_elimination_table = 0;
   const IlpSolution solution = IlpSolver(options).Solve(problem);
-  EXPECT_EQ(solution.method, "portfolio");
+  EXPECT_EQ(solution.method, "search");
   EXPECT_TRUE(solution.optimal);
   EXPECT_DOUBLE_EQ(solution.objective, BruteForce(problem));
 }
@@ -321,7 +320,7 @@ TEST(IlpSolver, AnytimeLowerBoundOnAbort) {
   IlpSolverOptions options;
   options.max_search_nodes = 3;  // Tighter than any proof tree for this core.
   options.max_elimination_table = 0;  // Keep the core on branch & bound.
-  options.use_core_memo = false;
+  ClearIlpCoreMemo();
   const IlpSolution solution = IlpSolver(options).Solve(problem);
   ASSERT_TRUE(solution.feasible);
   ASSERT_FALSE(solution.optimal);
@@ -333,7 +332,7 @@ TEST(IlpSolver, AnytimeLowerBoundOnAbort) {
   // An optimal solve has no gap.
   IlpSolverOptions exact;
   exact.max_elimination_table = 0;
-  exact.use_core_memo = false;
+  ClearIlpCoreMemo();
   const IlpSolution optimal = IlpSolver(exact).Solve(problem);
   ASSERT_TRUE(optimal.optimal);
   EXPECT_NEAR(optimal.lower_bound, optimal.objective, 1e-12);

@@ -128,8 +128,6 @@ TEST_F(PlanCacheTest, KeyCoversClusterExtentAndOptions) {
        [](ParallelizeOptions& o) { o.inter.profiler.intra.solver.max_search_nodes = 1000; }},
       {"intra.solver.max_elimination_table",
        [](ParallelizeOptions& o) { o.inter.profiler.intra.solver.max_elimination_table = 0; }},
-      {"intra.solver.use_core_memo",
-       [](ParallelizeOptions& o) { o.inter.profiler.intra.solver.use_core_memo = false; }},
   };
   for (const Flip& flip : steering) {
     ParallelizeOptions flipped = base;

@@ -1,5 +1,5 @@
 // Randomized cross-check of the solver pipeline (presolve + variable
-// elimination + the search portfolio) against the brute-force oracle
+// elimination + the branch & bound search) against the brute-force oracle
 // (tests/ilp_oracle.h). The oracle is exact on every instance, so every
 // proven-optimal solve must match its objective to rounding — and with
 // continuous random costs the optimum is unique, so the full choice
@@ -13,16 +13,17 @@
 #include "src/solver/ilp_solver.h"
 #include "src/support/rng.h"
 #include "src/support/thread_pool.h"
+#include "src/support/trace.h"
 #include "tests/ilp_oracle.h"
 
 namespace alpa {
 namespace {
 
-IlpSolution SolveWith(const IlpProblem& problem, ThreadPool* pool = nullptr,
-                      bool use_memo = false) {
+// Solves with an empty core memo, so no compared solve can be a memo hit.
+IlpSolution SolveWith(const IlpProblem& problem, ThreadPool* pool = nullptr) {
   IlpSolverOptions options;
   options.pool = pool;
-  options.use_core_memo = use_memo;
+  ClearIlpCoreMemo();
   return IlpSolver(options).Solve(problem);
 }
 
@@ -107,18 +108,25 @@ TEST(SolverCrossCheck, PoolDoesNotChangeTheSolution) {
 
 TEST(SolverCrossCheck, CoreMemoHitReturnsIdenticalSolution) {
   Rng rng(777);
-  ClearIlpCoreMemo();
+  int memoized = 0;
   for (int trial = 0; trial < 20; ++trial) {
     const int nodes = 5 + static_cast<int>(rng.NextBounded(6));
     const IlpProblem problem = RandomProblem(rng, nodes, 4, 0.5, 0.0);
-    const IlpSolution without = SolveWith(problem, nullptr, false);
-    const IlpSolution miss = SolveWith(problem, nullptr, true);
-    const IlpSolution hit = SolveWith(problem, nullptr, true);
-    EXPECT_EQ(without.choice, miss.choice) << trial;
+    const int64_t misses = Metrics::Value("ilp/core_memo/misses");
+    const int64_t hits = Metrics::Value("ilp/core_memo/hits");
+    const IlpSolution miss = SolveWith(problem);
+    const int64_t core_lookups = Metrics::Value("ilp/core_memo/misses") - misses;
+    EXPECT_EQ(Metrics::Value("ilp/core_memo/hits"), hits) << trial;
+    const IlpSolution hit = IlpSolver().Solve(problem);
+    // Every core the first solve missed on, the second solve hits.
+    EXPECT_EQ(Metrics::Value("ilp/core_memo/hits") - hits, core_lookups) << trial;
+    EXPECT_EQ(Metrics::Value("ilp/core_memo/misses") - misses, core_lookups) << trial;
+    memoized += core_lookups > 0 ? 1 : 0;
     EXPECT_EQ(miss.choice, hit.choice) << trial;
     EXPECT_EQ(miss.objective, hit.objective) << trial;
     EXPECT_EQ(miss.nodes_explored, hit.nodes_explored) << trial;
   }
+  EXPECT_GT(memoized, 0);  // Some trials must leave a core past presolve.
   ClearIlpCoreMemo();
 }
 
@@ -154,19 +162,20 @@ TEST(SolverCrossCheck, StagedSolvesDisconnectedComponentsExactly) {
   }
 }
 
-TEST(SolverCrossCheck, PortfolioPoolDoesNotChangeTheSolution) {
+TEST(SolverCrossCheck, SearchPoolDoesNotChangeTheSolution) {
   Rng rng(929);
   ThreadPool pool(4);
   for (int trial = 0; trial < 30; ++trial) {
     const int nodes = 6 + static_cast<int>(rng.NextBounded(8));
     const IlpProblem problem = RandomProblem(rng, nodes, 4, 0.6, trial % 3 == 0 ? 0.1 : 0.0);
     IlpSolverOptions serial_options;
-    serial_options.use_core_memo = false;
-    serial_options.max_elimination_table = 0;  // Keep the race on the B&B path.
-    serial_options.max_search_nodes = 8'192;   // Abort-prone on the dense trials.
+    serial_options.max_elimination_table = 0;  // Keep the core on the B&B path.
+    serial_options.max_search_nodes = 8'192;   // Reduced; no trial here aborts.
     IlpSolverOptions pooled_options = serial_options;
     pooled_options.pool = &pool;
+    ClearIlpCoreMemo();
     const IlpSolution serial = IlpSolver(serial_options).Solve(problem);
+    ClearIlpCoreMemo();
     const IlpSolution parallel = IlpSolver(pooled_options).Solve(problem);
     ASSERT_EQ(serial.choice, parallel.choice) << "trial " << trial;
     EXPECT_EQ(serial.objective, parallel.objective) << trial;  // Bitwise.

@@ -1,8 +1,11 @@
 // ThreadSanitizer harness for the parallel compilation pipeline.
 //
-// Compiles a tiny GPT serially and with 4 worker threads under
-// -fsanitize=thread (this whole binary, library sources included, is
-// TSan-instrumented by tests/CMakeLists.txt) and checks PlanEquals. Any
+// First runs the branch & bound's root-parallel search on a budget that
+// aborts it, serially and on 4 threads, and checks the results are
+// bit-identical. Then compiles a tiny GPT serially and with 4 worker
+// threads under -fsanitize=thread (this whole binary, library sources
+// included, is TSan-instrumented by tests/CMakeLists.txt) and checks
+// PlanEquals. Any
 // data race in the profiler's once_flag cells, the memo cache, the stage
 // DP's parallel precompute, or the pool itself fails the run. Tracing is
 // enabled for both compiles so the recorder's lane buffers, the metrics
@@ -17,7 +20,7 @@
 #include "src/inter/inter_pass.h"
 #include "src/intra/ilp_cache.h"
 #include "src/models/gpt.h"
-#include "src/solver/portfolio.h"
+#include "src/solver/flat_bnb.h"
 #include "src/support/rng.h"
 #include "src/support/thread_pool.h"
 #include "src/support/trace.h"
@@ -25,35 +28,41 @@
 
 namespace {
 
-// The abort-prone instance from the flat branch & bound's redistribution
-// tests: dense enough that every portfolio round does real work.
-alpa::IlpProblem AbortProneProblem() {
+// A dense instance from the flat branch & bound's redistribution tests. Its
+// proof takes 1,036 nodes, so a 1,000-node budget aborts.
+alpa::IlpProblem DenseProblem() {
   alpa::Rng rng(45);
   return alpa::RandomProblem(rng, 14, 5, 0.8);
 }
 
-// Races GRASP restarts, annealing chains, and root-parallel branch & bound
-// over the pool under TSan, and checks the 4-thread result is bit-identical
-// to the serial one. Returns false on any divergence.
-bool CheckPortfolioRace() {
-  const alpa::IlpProblem problem = AbortProneProblem();
-  alpa::PortfolioOptions options;
-  options.budget = 20'000;  // Abort-prone: the full search needs more.
-  const alpa::PortfolioResult serial = alpa::SolvePortfolio(problem, options);
+// Runs the root-parallel branch & bound over the pool under TSan, with a
+// budget that aborts so the budget redistribution rounds run too, and
+// checks the 4-thread result is bit-identical to the serial one. Returns
+// false on any divergence.
+bool CheckSearchRace() {
+  const alpa::IlpProblem problem = DenseProblem();
+  alpa::FlatSearchOptions options;
+  options.budget = 1'000;
+  const alpa::FlatSearchResult serial = alpa::SolveCore(problem, options);
 
   alpa::ThreadPool pool(4);
-  alpa::PortfolioOptions pooled = options;
+  alpa::FlatSearchOptions pooled = options;
   pooled.pool = &pool;
-  const alpa::PortfolioResult parallel = alpa::SolvePortfolio(problem, pooled);
+  const alpa::FlatSearchResult parallel = alpa::SolveCore(problem, pooled);
 
   if (!serial.feasible || !parallel.feasible) {
-    std::fprintf(stderr, "FAIL: portfolio infeasible (serial=%d parallel=%d)\n",
+    std::fprintf(stderr, "FAIL: search infeasible (serial=%d parallel=%d)\n",
                  serial.feasible, parallel.feasible);
     return false;
   }
+  if (!serial.aborted) {
+    std::fprintf(stderr, "FAIL: search proved optimality; the budget must abort it\n");
+    return false;
+  }
   if (serial.choice != parallel.choice || serial.objective != parallel.objective ||
-      serial.lower_bound != parallel.lower_bound || serial.explored != parallel.explored) {
-    std::fprintf(stderr, "FAIL: portfolio result differs across thread counts\n");
+      serial.lower_bound != parallel.lower_bound || serial.explored != parallel.explored ||
+      serial.aborted != parallel.aborted) {
+    std::fprintf(stderr, "FAIL: search result differs across thread counts\n");
     return false;
   }
   return true;
@@ -76,7 +85,7 @@ std::map<std::string, int> CompileSpanSet() {
 
 int main() {
   using namespace alpa;
-  if (!CheckPortfolioRace()) {
+  if (!CheckSearchRace()) {
     return 1;
   }
   GptConfig config;
