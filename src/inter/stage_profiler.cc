@@ -244,26 +244,23 @@ void StageProfiler::SolveGroup(int canonical, int group, GroupCell* cell) {
   }
   MeshPlacement placement;
   placement.shape = variants_[first].physical;
-  IntraOpOptions intra = options_.intra;
-  // Root-level parallel branching inside the solver; results are identical
-  // with or without the pool, so this does not perturb the cache key.
-  intra.solver.pool = pool_;
   const DeviceMesh mesh = DeviceMesh::Create(cluster_, placement, variants_[first].logical);
-  IntraOpProblem problem = BuildIntraOpProblem(subgraph.graph, mesh, intra);
+  IntraOpProblem problem = BuildIntraOpProblem(subgraph.graph, mesh, options_.intra);
   static Metric* builds_metric = Metrics::Get("ilp/builds");
   builds_metric->Add(1);
   static Metric* solves_metric = Metrics::Get("ilp/solves");
   for (size_t m = 0; m < num_modes; ++m) {
     const MemoryMode mode = variants_[first + m].mode;
     if (mode != MemoryMode::kTimeOptimal) {
-      RestrictIntraOpProblem(subgraph.graph, mesh, intra, MemoryModeFilter(mode), &problem);
+      RestrictIntraOpProblem(subgraph.graph, mesh, options_.intra, MemoryModeFilter(mode),
+                             &problem);
     }
     TraceSpan span("ilp_solve");
     solve_span(span, m);
     if (hit[m]) {
       continue;
     }
-    cell->results[m] = SolveIntraOpProblem(subgraph.graph, mesh, problem, intra);
+    cell->results[m] = SolveIntraOpProblem(subgraph.graph, mesh, problem, options_.intra);
     num_ilp_solves_.fetch_add(1, std::memory_order_relaxed);
     solves_metric->Add(1);
     if (cacheable[m]) {

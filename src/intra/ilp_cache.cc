@@ -81,8 +81,6 @@ bool ComputeIlpCacheKey(const ClusterSpec& cluster, const SubmeshShape& physical
   hasher.I32(static_cast<int32_t>(options.precision));
   hasher.I32(options.num_microbatches);
   hasher.Bool(options.rematerialize);
-  // The pool pointer is deliberately not hashed: results are identical
-  // with or without one.
   hasher.I64(options.solver.max_search_nodes);
   hasher.I64(options.solver.max_elimination_table);
   key->structural_hash = structural_hash;

@@ -130,7 +130,6 @@ Status PlanCache::SetDiskDir(const std::string& dir) {
       PlanCacheKey key;
       if (!ParseEntryName(name, &key) || !HeaderVersionMatches(path)) {
         std::remove(path.c_str());
-        ++stats_.version_swept;
         static Metric* swept = Metrics::Get("plan_cache/version_swept");
         swept->Add(1);
         continue;
@@ -179,7 +178,6 @@ void PlanCache::EvictLocked(const PlanCacheKey& key) {
   // bound the store (otherwise an evicted plan would linger in memory and
   // resurface as a hit the caps pretend not to have).
   entries_.erase(key);
-  ++stats_.evictions;
   static Metric* evictions = Metrics::Get("plan_cache/evictions");
   evictions->Add(1);
 }
@@ -236,12 +234,10 @@ bool PlanCache::Lookup(const PlanCacheKey& key, ParallelPlan* plan) {
       if (disk_it != disk_index_.end()) {
         disk_it->second.access_seq = ++access_counter_;
       }
-      ++stats_.memory_hits;
       memory_hits->Add(1);
       return true;
     }
     if (disk_dir_.empty()) {
-      ++stats_.misses;
       misses->Add(1);
       return false;
     }
@@ -295,7 +291,6 @@ bool PlanCache::Lookup(const PlanCacheKey& key, ParallelPlan* plan) {
       // of memory too, so the caps keep genuinely bounding the store.
       entries_.emplace(key, *plan);
     }
-    ++stats_.disk_hits;
     disk_hits->Add(1);
   } else {
     if (probed) {
@@ -307,7 +302,6 @@ bool PlanCache::Lookup(const PlanCacheKey& key, ParallelPlan* plan) {
         disk_index_.erase(it);
       }
     }
-    ++stats_.misses;
     misses->Add(1);
   }
   UpdateMetricsLocked();
@@ -350,6 +344,7 @@ FlightOutcome PlanCache::JoinFlight(const PlanCacheKey& key, ParallelPlan* plan,
   if (Lookup(key, plan)) {
     return FlightOutcome::kHit;
   }
+  static Metric* memory_hits = Metrics::Get("plan_cache/memory_hits");
   static Metric* leaders = Metrics::Get("plan_cache/flight_leaders");
   static Metric* followers = Metrics::Get("plan_cache/flight_followers");
   std::shared_ptr<Flight> flight;
@@ -360,18 +355,16 @@ FlightOutcome PlanCache::JoinFlight(const PlanCacheKey& key, ParallelPlan* plan,
     const auto hit = entries_.find(key);
     if (hit != entries_.end()) {
       *plan = hit->second;
-      ++stats_.memory_hits;
+      memory_hits->Add(1);
       return FlightOutcome::kHit;
     }
     auto it = flights_.find(key);
     if (it == flights_.end()) {
       flights_.emplace(key, std::make_shared<Flight>());
-      ++stats_.flight_leaders;
       leaders->Add(1);
       return FlightOutcome::kLeader;
     }
     flight = it->second;
-    ++stats_.flight_followers;
     followers->Add(1);
   }
   std::unique_lock<std::mutex> lock(flight->mu);
@@ -425,11 +418,6 @@ void PlanCache::FinishFlight(const PlanCacheKey& key, const StatusOr<ParallelPla
   flight->cv.notify_all();
 }
 
-PlanCacheStats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
 size_t PlanCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
@@ -448,7 +436,6 @@ int64_t PlanCache::disk_bytes() const {
 void PlanCache::Clear(bool also_disk) {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  stats_ = PlanCacheStats();
   if (also_disk && !disk_dir_.empty()) {
     std::error_code ec;
     for (const auto& entry : std::filesystem::directory_iterator(disk_dir_, ec)) {

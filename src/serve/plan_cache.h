@@ -43,6 +43,14 @@
 // deterministic, unlike wall-clock atimes) are unlinked oldest-first, and
 // their memory promotions dropped with them. 0 = unbounded.
 //
+// Metrics. Traffic is counted in the process-wide registry, never reset by
+// Clear(): plan_cache/{memory_hits,disk_hits,misses} per lookup (a
+// JoinFlight re-check hit counts as a memory hit),
+// plan_cache/{flight_leaders,flight_followers} per single-flight join,
+// plan_cache/evictions per capped eviction and plan_cache/version_swept per
+// entry the SetDiskDir sweep unlinks; plan_cache/{entries,disk_entries,
+// disk_bytes} are gauges.
+//
 // Thread safety: all methods are safe to call concurrently.
 #ifndef SRC_SERVE_PLAN_CACHE_H_
 #define SRC_SERVE_PLAN_CACHE_H_
@@ -64,20 +72,6 @@ struct PlanCacheKey {
   uint64_t graph_hash = 0;
   uint64_t config_hash = 0;
   bool operator==(const PlanCacheKey&) const = default;
-};
-
-struct PlanCacheStats {
-  int64_t memory_hits = 0;
-  int64_t disk_hits = 0;
-  int64_t misses = 0;
-  // Disk entries evicted by the size/entry caps.
-  int64_t evictions = 0;
-  // Disk entries of another wire version unlinked by the SetDiskDir sweep.
-  int64_t version_swept = 0;
-  // Single-flight traffic: compiles elected (leaders) vs requests that
-  // blocked on an in-flight compile instead of duplicating it (followers).
-  int64_t flight_leaders = 0;
-  int64_t flight_followers = 0;
 };
 
 // Caps on the persisted store; 0 = unbounded. Enforced on insert with
@@ -133,12 +127,11 @@ class PlanCache {
   // propagate the error to followers on failure.
   void FinishFlight(const PlanCacheKey& key, const StatusOr<ParallelPlan>& result);
 
-  PlanCacheStats stats() const;
   size_t size() const;       // In-memory entries.
   size_t disk_size() const;  // Indexed disk entries.
   int64_t disk_bytes() const;
-  // Drops in-memory entries and zeroes counters; `also_disk` removes the
-  // persisted files too.
+  // Drops in-memory entries; `also_disk` removes the persisted files too.
+  // The plan_cache/* metrics keep counting across a Clear.
   void Clear(bool also_disk = false);
 
  private:
@@ -181,7 +174,6 @@ class PlanCache {
   std::unordered_map<PlanCacheKey, std::shared_ptr<Flight>, KeyHash> flights_;
   int64_t disk_bytes_ = 0;
   uint64_t access_counter_ = 0;
-  PlanCacheStats stats_;
 };
 
 // Builds the cache key for compiling `graph` on `cluster` under `options`

@@ -12,11 +12,10 @@
 //     touching the frontier), much tighter than a static suffix bound.
 // Variables are ordered dynamically by regret (gap between the best and
 // second-best conditioned cost); values are tried in ascending conditioned
-// cost. Root-level branching fans out over a work-stealing pool when one is
-// provided: every root branch is an independent search with a fixed budget
-// slice and the shared incumbent as its initial bound, and results reduce
-// in deterministic (score, index) order — so the solution is bit-identical
-// for any thread count, including zero.
+// cost. Each connected component is one sequential depth-first search with
+// a single incumbent, so the result is a function of the core and the
+// budget alone. Compile-time parallelism lives one level up, in the
+// (layer x mesh) profiling sweep, never inside a solve.
 //
 // Callers re-evaluate the returned assignment on the original (unclamped)
 // problem; see flat_core.h for the kFlatLarge / kFlatInfeasible clamping
@@ -32,39 +31,27 @@
 
 namespace alpa {
 
-class ThreadPool;
-
-struct FlatSearchOptions {
-  // Total expansion budget, split evenly across connected components. Within
-  // a component the per-root-branch slices start even, and slices left
-  // unused by early-finishing branches are redistributed to still-aborted
-  // branches in bounded follow-up rounds (each round is a barrier with a
-  // deterministic reduce), so behaviour still does not depend on the pool.
-  int64_t budget = 300'000;
-  // Optional pool for root-level parallel branching. Results are identical
-  // with or without it.
-  ThreadPool* pool = nullptr;
-};
-
 struct FlatSearchResult {
   std::vector<int> choice;  // Core-compact choice per node.
   double objective = kFlatLarge;
   bool feasible = false;  // objective < kFlatInfeasible.
-  bool aborted = false;   // Some branch exhausted its budget slice.
-  int64_t explored = 0;
+  bool aborted = false;   // Some component exhausted its budget share.
+  int64_t explored = 0;   // Expanded nodes; never more than the budget.
   // Proven lower bound on the optimal objective (anytime contract): equals
   // `objective` when the search completed; on an abort it is the sum, over
-  // components, of min(component objective, weakest unexplored root-branch
-  // bound). (objective - lower_bound) is the absolute optimality gap.
+  // components, of min(component objective, pre-push bound of the root
+  // choice the budget cut off). (objective - lower_bound) is the absolute
+  // optimality gap.
   double lower_bound = 0.0;
 };
 
 // Exact search over `core` (a simple graph; parallel edges must already be
-// merged): builds the flat arenas, diffuses, then searches. A search that
-// runs out of budget while its proven bound already meets its incumbent is
-// reported as complete. Deterministic: same core and options give the same
-// result, for any thread count.
-FlatSearchResult SolveCore(const IlpProblem& core, const FlatSearchOptions& options);
+// merged): builds the flat arenas, diffuses, then searches. `budget` caps
+// the expanded nodes and is split evenly across connected components. A
+// search that runs out of budget while its proven bound already meets its
+// incumbent is reported as complete. Deterministic: the same core and
+// budget give the same result.
+FlatSearchResult SolveCore(const IlpProblem& core, int64_t budget);
 
 }  // namespace alpa
 

@@ -241,7 +241,7 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
       // Times the flat-core build, its diffusion and the search together.
       const auto bnb_t0 = std::chrono::steady_clock::now();
       FlatSearchResult res =
-          SolveCore(pre.core, {std::max<int64_t>(1, options_.max_search_nodes), options_.pool});
+          SolveCore(pre.core, std::max<int64_t>(1, options_.max_search_nodes));
       bnb_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - bnb_t0)
                           .count());

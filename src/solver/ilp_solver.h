@@ -15,12 +15,14 @@
 //      leave cores of small induced width, solved in k^(width+1) time;
 //   3. cores whose elimination tables would blow past the cap go to the
 //      flat-memory branch & bound (src/solver/flat_bnb), bounded by min-sum
-//      diffusion and run under the whole search budget. A search that
-//      exhausts the budget returns its incumbent with a proven lower bound;
+//      diffusion: one sequential depth-first search per connected component
+//      under the search budget. A search that exhausts the budget returns
+//      its incumbent with a proven lower bound;
 //   4. the core assignment is reconstructed to the original space and
 //      re-evaluated on the original problem.
-// Results are deterministic and independent of the thread pool. Exactness
-// is cross-checked against a brute-force oracle on randomized instances
+// A solve runs on the calling thread and is deterministic: the result is a
+// function of the problem and the options. Exactness is cross-checked
+// against a brute-force oracle on randomized instances
 // (tests/solver_crosscheck_test.cc).
 #ifndef SRC_SOLVER_ILP_SOLVER_H_
 #define SRC_SOLVER_ILP_SOLVER_H_
@@ -31,8 +33,6 @@
 #include <vector>
 
 namespace alpa {
-
-class ThreadPool;
 
 inline constexpr double kInfCost = std::numeric_limits<double>::infinity();
 
@@ -83,10 +83,6 @@ struct IlpSolverOptions {
   // big stage graphs; the solve then returns its best incumbent, marked
   // non-optimal, with a proven lower bound.
   int64_t max_search_nodes = 300'000;
-  // Optional pool for the search's root-level parallel branching. Plans are
-  // bit-identical with or without it (per-branch budget slices and a
-  // deterministic reduce); null means serial.
-  ThreadPool* pool = nullptr;
   // Residual cores are solved by exact variable elimination when every
   // elimination table fits under this many cells (the cap bounds both time
   // and memory at ~k^(width+1)); larger-width cores fall back to the

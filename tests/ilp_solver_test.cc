@@ -6,7 +6,6 @@
 #include "src/solver/flat_bnb.h"
 #include "src/solver/ilp_solver.h"
 #include "src/support/rng.h"
-#include "src/support/thread_pool.h"
 #include "tests/ilp_oracle.h"
 
 namespace alpa {
@@ -219,40 +218,28 @@ TEST(IlpSolver, LargeChainIsFast) {
   EXPECT_EQ(solution.method, "dp-forest");
 }
 
-// The budget-redistribution bugfix: slices left unused by early-finishing
-// root branches must flow to still-running ones. This instance (found by
-// sweeping seeds against the pre-fix even-split code) completes within a
-// budget equal to its total search need — but under even splitting, the
-// hardest root branch's share is too small and the search aborted despite
-// more than half the budget going unused.
-TEST(FlatBnb, LeftoverBudgetIsRedistributedAcrossRootBranches) {
+// The budget caps the expanded nodes: `explored` never exceeds it, the
+// search aborts exactly when the budget is below the unbounded search's
+// need, and a budget that covers the need returns the unbounded result.
+TEST(FlatBnb, BudgetIsAHardCap) {
   Rng rng(45);
   const IlpProblem problem = RandomProblem(rng, 14, 5, 0.8);
 
-  FlatSearchOptions unbounded;
-  unbounded.budget = 100'000'000;
-  const FlatSearchResult full = SolveCore(problem, unbounded);
+  const FlatSearchResult full = SolveCore(problem, 100'000'000);
   ASSERT_FALSE(full.aborted);
-  ASSERT_GT(full.explored, 1000);  // Non-trivial search.
+  const int64_t need = full.explored;
+  ASSERT_GT(need, 100);  // Non-trivial search: the small budgets abort.
 
-  // Exactly the nodes the full search needs, no slack: even splitting
-  // aborted here; redistribution must not.
-  FlatSearchOptions tight;
-  tight.budget = full.explored;
-  const FlatSearchResult redistributed = SolveCore(problem, tight);
-  EXPECT_FALSE(redistributed.aborted);
-  EXPECT_EQ(redistributed.objective, full.objective);
-  EXPECT_EQ(redistributed.choice, full.choice);
-
-  // Redistribution rounds are barriers with deterministic reduces: the
-  // result is bit-identical with a pool.
-  ThreadPool pool(4);
-  FlatSearchOptions pooled = tight;
-  pooled.pool = &pool;
-  const FlatSearchResult parallel = SolveCore(problem, pooled);
-  EXPECT_EQ(parallel.aborted, redistributed.aborted);
-  EXPECT_EQ(parallel.objective, redistributed.objective);
-  EXPECT_EQ(parallel.choice, redistributed.choice);
+  for (const int64_t budget : {int64_t{1}, int64_t{10}, int64_t{100}, need - 1, need,
+                               int64_t{1'000}}) {
+    const FlatSearchResult result = SolveCore(problem, budget);
+    EXPECT_LE(result.explored, budget) << "budget " << budget;
+    EXPECT_EQ(result.aborted, budget < need) << "budget " << budget;
+    if (budget >= need) {
+      EXPECT_EQ(result.objective, full.objective) << "budget " << budget;
+      EXPECT_EQ(result.choice, full.choice) << "budget " << budget;
+    }
+  }
 }
 
 // The anytime contract at the flat level: an aborted search still reports
@@ -260,13 +247,9 @@ TEST(FlatBnb, LeftoverBudgetIsRedistributedAcrossRootBranches) {
 TEST(FlatBnb, AbortReportsIncumbentAndLowerBound) {
   Rng rng(45);
   const IlpProblem problem = RandomProblem(rng, 14, 5, 0.8);
-  FlatSearchOptions unbounded;
-  unbounded.budget = 100'000'000;
-  const FlatSearchResult full = SolveCore(problem, unbounded);
+  const FlatSearchResult full = SolveCore(problem, 100'000'000);
 
-  FlatSearchOptions starved;
-  starved.budget = full.explored / 4;
-  const FlatSearchResult anytime = SolveCore(problem, starved);
+  const FlatSearchResult anytime = SolveCore(problem, full.explored / 4);
   ASSERT_TRUE(anytime.aborted);
   ASSERT_TRUE(anytime.feasible);
   // The bound brackets the (known) optimum from below, the incumbent from
@@ -279,28 +262,22 @@ TEST(FlatBnb, AbortReportsIncumbentAndLowerBound) {
   EXPECT_EQ(full.lower_bound, full.objective);
 }
 
-// Redistribution-rerun invariant: the reported objective must be the cost
-// the stored choice actually achieves. Before the fix, a rerun that
-// improved nothing stamped the cross-branch incumbent onto its stale
-// round-1 choice, and the first-wins reduce could then return an
-// assignment whose true cost is above the reported objective.
-TEST(FlatBnb, ObjectiveMatchesChoiceUnderBudgetRedistribution) {
+// An aborted search's reported objective must be the cost its stored
+// choice actually achieves, and its bound must bracket the optimum.
+TEST(FlatBnb, ObjectiveMatchesChoiceOnAbort) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed);
     const IlpProblem problem = RandomProblem(rng, 14, 5, 0.8);
-    FlatSearchOptions unbounded;
-    unbounded.budget = 100'000'000;
-    const FlatSearchResult full = SolveCore(problem, unbounded);
+    const FlatSearchResult full = SolveCore(problem, 100'000'000);
     ASSERT_TRUE(full.feasible) << "seed " << seed;
-    // Budgets below the full search need force redistribution rounds in
-    // which some branches rerun under a tighter cross-branch incumbent.
+    // Budgets below the full search need cut the search off at different
+    // depths of its tree.
     for (const int denom : {2, 3, 4, 6, 8}) {
-      FlatSearchOptions starved;
-      starved.budget = full.explored / denom;
-      const FlatSearchResult result = SolveCore(problem, starved);
+      const FlatSearchResult result = SolveCore(problem, full.explored / denom);
       ASSERT_TRUE(result.feasible) << "seed " << seed << " denom " << denom;
       EXPECT_NEAR(result.objective, problem.Evaluate(result.choice), 1e-9)
           << "seed " << seed << " denom " << denom;
+      EXPECT_LE(result.lower_bound, full.objective + 1e-9);
       EXPECT_LE(result.lower_bound, result.objective + 1e-9);
       EXPECT_GE(result.objective, full.objective - 1e-9);
     }

@@ -262,10 +262,11 @@ TEST_F(PlanCacheTest, DiskEntriesSurviveMemoryClear) {
 
   // Simulated restart: memory gone, disk intact.
   PlanCache::Global().Clear(/*also_disk=*/false);
+  const int64_t disk_hits = Metrics::Value("plan_cache/disk_hits");
   const StatusOr<ParallelPlan> warm = service.Parallelize(request);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(service.last_outcome().plan_cache_hit);
-  EXPECT_EQ(PlanCache::Global().stats().disk_hits, 1);
+  EXPECT_EQ(Metrics::Value("plan_cache/disk_hits") - disk_hits, 1);
   // The disk round-trip is bit-exact.
   EXPECT_TRUE(PlanEquals(cold->pipeline, warm->pipeline));
 }
@@ -294,9 +295,10 @@ TEST_F(PlanCacheTest, CorruptDiskEntryIsAMiss) {
   }
   ASSERT_GT(corrupted, 0);
   PlanCache::Global().Clear(/*also_disk=*/false);
+  const int64_t disk_hits = Metrics::Value("plan_cache/disk_hits");
   ASSERT_TRUE(service.Parallelize(request).ok());
   EXPECT_FALSE(service.last_outcome().plan_cache_hit);  // Miss, not garbage.
-  EXPECT_EQ(PlanCache::Global().stats().disk_hits, 0);
+  EXPECT_EQ(Metrics::Value("plan_cache/disk_hits") - disk_hits, 0);
 }
 
 // The tentpole's dedup contract: a 32-thread cold storm on ONE key runs
@@ -307,6 +309,9 @@ TEST_F(PlanCacheTest, ConcurrentColdStormCompilesOnce) {
   constexpr int kThreads = 32;
   Metric* compiles = Metrics::Get("serve/compiles");
   const int64_t compiles_before = compiles->value();
+  const int64_t leaders_before = Metrics::Value("plan_cache/flight_leaders");
+  const int64_t followers_before = Metrics::Value("plan_cache/flight_followers");
+  const int64_t memory_hits_before = Metrics::Value("plan_cache/memory_hits");
 
   std::vector<StatusOr<ParallelPlan>> plans(kThreads, Status::Internal("unset"));
   std::atomic<int> ready{0};
@@ -340,11 +345,12 @@ TEST_F(PlanCacheTest, ConcurrentColdStormCompilesOnce) {
 
   // Exactly one compile across the storm.
   EXPECT_EQ(compiles->value() - compiles_before, 1);
-  const PlanCacheStats stats = PlanCache::Global().stats();
-  EXPECT_EQ(stats.flight_leaders, 1);
+  EXPECT_EQ(Metrics::Value("plan_cache/flight_leaders") - leaders_before, 1);
   // Every non-leader either joined the flight or arrived after the
   // publish and hit memory.
-  EXPECT_EQ(stats.flight_followers + stats.memory_hits, kThreads - 1);
+  const int64_t followers = Metrics::Value("plan_cache/flight_followers") - followers_before;
+  const int64_t memory_hits = Metrics::Value("plan_cache/memory_hits") - memory_hits_before;
+  EXPECT_EQ(followers + memory_hits, kThreads - 1);
 
   ASSERT_TRUE(plans[0].ok()) << plans[0].status().ToString();
   for (int i = 1; i < kThreads; ++i) {
@@ -361,6 +367,7 @@ TEST_F(PlanCacheTest, FailedLeaderPropagatesToFollowers) {
   Status status = Status::Ok();
   ASSERT_EQ(PlanCache::Global().JoinFlight(key, &plan, &status), FlightOutcome::kLeader);
 
+  const int64_t followers_before = Metrics::Value("plan_cache/flight_followers");
   std::thread follower([&key] {
     ParallelPlan follower_plan;
     Status follower_status = Status::Ok();
@@ -370,7 +377,7 @@ TEST_F(PlanCacheTest, FailedLeaderPropagatesToFollowers) {
     EXPECT_EQ(follower_status.code(), StatusCode::kInfeasible);
   });
   // Give the follower a chance to actually block on the flight.
-  while (PlanCache::Global().stats().flight_followers == 0) {
+  while (Metrics::Value("plan_cache/flight_followers") == followers_before) {
     std::this_thread::yield();
   }
   PlanCache::Global().FinishFlight(key, Status::Infeasible("no plan"));
@@ -401,7 +408,7 @@ TEST_F(PlanCacheTest, FollowerDeadlineExpiresWithoutKillingTheFlight) {
 
   // The flight survived the expiry: a patient follower still rides it to
   // the leader's result instead of electing a duplicate leader.
-  const int64_t followers_before = PlanCache::Global().stats().flight_followers;
+  const int64_t followers_before = Metrics::Value("plan_cache/flight_followers");
   std::thread patient([&key] {
     ParallelPlan patient_plan;
     Status patient_status = Status::Ok();
@@ -410,7 +417,7 @@ TEST_F(PlanCacheTest, FollowerDeadlineExpiresWithoutKillingTheFlight) {
     EXPECT_EQ(outcome, FlightOutcome::kFailed);
     EXPECT_EQ(patient_status.code(), StatusCode::kInfeasible);
   });
-  while (PlanCache::Global().stats().flight_followers <= followers_before) {
+  while (Metrics::Value("plan_cache/flight_followers") <= followers_before) {
     std::this_thread::yield();
   }
   PlanCache::Global().FinishFlight(key, Status::Infeasible("no plan"));
@@ -433,10 +440,11 @@ TEST_F(PlanCacheTest, EvictionDropsOldestFirst) {
   // Touch k1 so k2 becomes the LRU victim.
   ParallelPlan out;
   ASSERT_TRUE(PlanCache::Global().Lookup(k1, &out));
+  const int64_t evictions = Metrics::Value("plan_cache/evictions");
   PlanCache::Global().Insert(k3, plan);
 
   EXPECT_EQ(PlanCache::Global().disk_size(), 2u);
-  EXPECT_EQ(PlanCache::Global().stats().evictions, 1);
+  EXPECT_EQ(Metrics::Value("plan_cache/evictions") - evictions, 1);
   EXPECT_FALSE(PlanCache::Global().Lookup(k2, &out));  // Evicted, memory too.
   EXPECT_TRUE(PlanCache::Global().Lookup(k1, &out));
   EXPECT_TRUE(PlanCache::Global().Lookup(k3, &out));
@@ -459,13 +467,14 @@ TEST_F(PlanCacheTest, ByteCapBoundsTheStore) {
   PlanCache::Global().Clear(/*also_disk=*/true);
 
   const int64_t cap = 3 * entry_bytes + entry_bytes / 2;  // Room for 3.
+  const int64_t evictions = Metrics::Value("plan_cache/evictions");
   PlanCache::Global().SetLimits(PlanCacheLimits{0, cap});
   for (uint64_t i = 1; i <= 10; ++i) {
     PlanCache::Global().Insert(PlanCacheKey{i, i}, plan);
     EXPECT_LE(PlanCache::Global().disk_bytes(), cap);
   }
   EXPECT_EQ(PlanCache::Global().disk_size(), 3u);
-  EXPECT_EQ(PlanCache::Global().stats().evictions, 7);
+  EXPECT_EQ(Metrics::Value("plan_cache/evictions") - evictions, 7);
 }
 
 // Limits are enforced on the index rebuilt by SetDiskDir too (a restart
@@ -543,9 +552,10 @@ TEST_F(PlanCacheTest, VersionSweepRemovesStaleEntries) {
   ASSERT_TRUE(patched);
 
   PlanCache::Global().Clear(/*also_disk=*/false);
+  const int64_t swept = Metrics::Value("plan_cache/version_swept");
   ASSERT_TRUE(PlanCache::Global().SetDiskDir(dir).ok());  // Reopen sweeps.
   EXPECT_EQ(PlanCache::Global().disk_size(), 1u);
-  EXPECT_EQ(PlanCache::Global().stats().version_swept, 1);
+  EXPECT_EQ(Metrics::Value("plan_cache/version_swept") - swept, 1);
   int files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     files += entry.path().extension() == ".plan" ? 1 : 0;

@@ -1,6 +1,6 @@
 // The search path (presolve, then the diffusion-bounded flat branch &
 // bound on cores elimination cannot take): exactness on small instances,
-// determinism for any thread count and across reruns, and the anytime
+// determinism across reruns and compile thread counts, and the anytime
 // abort contract end to end.
 #include <gtest/gtest.h>
 
@@ -13,14 +13,14 @@
 #include "src/solver/flat_bnb.h"
 #include "src/solver/ilp_solver.h"
 #include "src/support/rng.h"
-#include "src/support/thread_pool.h"
+#include "src/support/trace.h"
 #include "tests/ilp_oracle.h"
 
 namespace alpa {
 namespace {
 
-// A dense instance from the flat branch & bound's budget redistribution
-// tests. Its proof takes 1,036 nodes, so a 1,000-node budget aborts.
+// A dense instance from the flat branch & bound's budget tests. Its proof
+// takes 776 nodes, so a 300-node budget aborts.
 IlpProblem DenseProblem() {
   Rng rng(45);
   return RandomProblem(rng, 14, 5, 0.8);
@@ -40,32 +40,18 @@ TEST(Search, MatchesBruteForceOnSmallRandomInstances) {
   }
 }
 
-TEST(Search, DeterministicAcrossThreadCountsAndReruns) {
+TEST(Search, DeterministicAcrossReruns) {
   const IlpProblem problem = DenseProblem();
-  FlatSearchOptions options;
-  options.budget = 1'000;  // Aborts, so the redistribution rounds run.
-  const FlatSearchResult serial = SolveCore(problem, options);
-  ASSERT_TRUE(serial.feasible);
-  ASSERT_TRUE(serial.aborted);
-  EXPECT_LT(serial.lower_bound, serial.objective);
+  const FlatSearchResult first = SolveCore(problem, 300);
+  ASSERT_TRUE(first.feasible);
+  ASSERT_TRUE(first.aborted);
+  EXPECT_LT(first.lower_bound, first.objective);
 
-  const FlatSearchResult rerun = SolveCore(problem, options);
-  EXPECT_EQ(rerun.choice, serial.choice);
-  EXPECT_EQ(rerun.objective, serial.objective);
-  EXPECT_EQ(rerun.lower_bound, serial.lower_bound);
-  EXPECT_EQ(rerun.explored, serial.explored);
-
-  for (const int threads : {2, 4}) {
-    ThreadPool pool(threads);
-    FlatSearchOptions pooled = options;
-    pooled.pool = &pool;
-    const FlatSearchResult parallel = SolveCore(problem, pooled);
-    EXPECT_EQ(parallel.choice, serial.choice) << threads << " threads";
-    EXPECT_EQ(parallel.objective, serial.objective) << threads << " threads";
-    EXPECT_EQ(parallel.lower_bound, serial.lower_bound) << threads << " threads";
-    EXPECT_EQ(parallel.explored, serial.explored) << threads << " threads";
-    EXPECT_EQ(parallel.aborted, serial.aborted) << threads << " threads";
-  }
+  const FlatSearchResult rerun = SolveCore(problem, 300);
+  EXPECT_EQ(rerun.choice, first.choice);
+  EXPECT_EQ(rerun.objective, first.objective);
+  EXPECT_EQ(rerun.lower_bound, first.lower_bound);
+  EXPECT_EQ(rerun.explored, first.explored);
 }
 
 // End-to-end anytime contract through IlpSolver: a starved search returns
@@ -101,8 +87,9 @@ TEST(Search, AbortReturnsIncumbentAndGap) {
   }
 }
 
-// Compile-level determinism under a reduced search budget: 1 and 4 compile
-// threads must produce PlanEquals-identical plans.
+// Compile-level determinism: 1 and 4 compile threads must produce
+// PlanEquals-identical plans, both under a reduced search budget and with
+// elimination off and a budget small enough that searches abort.
 TEST(Search, CompiledPlanIdenticalAcrossThreadCounts) {
   GptConfig config;
   config.hidden = 128;
@@ -115,22 +102,31 @@ TEST(Search, CompiledPlanIdenticalAcrossThreadCounts) {
   InterOpOptions options;
   options.num_microbatches = 4;
   options.target_layers = 2;
-  options.profiler.intra.solver.max_search_nodes = 5'000;
 
-  IlpMemoCache::Global().Clear();
-  Graph serial_graph = BuildGpt(config);
-  options.compile_threads = 1;
-  const CompiledPipeline serial = RunInterOpPass(serial_graph, cluster, options);
-
-  IlpMemoCache::Global().Clear();
-  Graph parallel_graph = BuildGpt(config);
-  options.compile_threads = 4;
-  const CompiledPipeline parallel = RunInterOpPass(parallel_graph, cluster, options);
-
-  ASSERT_TRUE(serial.feasible);
-  ASSERT_TRUE(parallel.feasible);
-  EXPECT_TRUE(PlanEquals(serial, parallel));
-  EXPECT_EQ(serial.dp_latency, parallel.dp_latency);
+  IlpSolverOptions reduced;
+  reduced.max_search_nodes = 5'000;
+  IlpSolverOptions aborting;
+  aborting.max_elimination_table = 0;
+  aborting.max_search_nodes = 100;
+  for (const IlpSolverOptions& solver : {reduced, aborting}) {
+    const bool expect_aborts = solver.max_elimination_table == 0;
+    options.profiler.intra.solver = solver;
+    CompiledPipeline plans[2];
+    for (int run = 0; run < 2; ++run) {
+      IlpMemoCache::Global().Clear();
+      const int64_t aborted = Metrics::Value("ilp/outcome/aborted");
+      Graph graph = BuildGpt(config);
+      options.compile_threads = run == 0 ? 1 : 4;
+      plans[run] = RunInterOpPass(graph, cluster, options);
+      ASSERT_TRUE(plans[run].feasible) << options.compile_threads << " threads";
+      if (expect_aborts) {
+        EXPECT_GT(Metrics::Value("ilp/outcome/aborted") - aborted, 0)
+            << options.compile_threads << " threads";
+      }
+    }
+    EXPECT_TRUE(PlanEquals(plans[0], plans[1])) << "aborting budget: " << expect_aborts;
+    EXPECT_EQ(plans[0].dp_latency, plans[1].dp_latency) << "aborting budget: " << expect_aborts;
+  }
 }
 
 }  // namespace

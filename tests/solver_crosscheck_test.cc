@@ -4,7 +4,7 @@
 // proven-optimal solve must match its objective to rounding — and with
 // continuous random costs the optimum is unique, so the full choice
 // vectors must be bit-identical too. The solver must additionally be
-// invariant to the thread pool and to its process-wide core memo.
+// invariant to its process-wide core memo.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +12,6 @@
 
 #include "src/solver/ilp_solver.h"
 #include "src/support/rng.h"
-#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 #include "tests/ilp_oracle.h"
 
@@ -20,11 +19,9 @@ namespace alpa {
 namespace {
 
 // Solves with an empty core memo, so no compared solve can be a memo hit.
-IlpSolution SolveWith(const IlpProblem& problem, ThreadPool* pool = nullptr) {
-  IlpSolverOptions options;
-  options.pool = pool;
+IlpSolution SolveWith(const IlpProblem& problem) {
   ClearIlpCoreMemo();
-  return IlpSolver(options).Solve(problem);
+  return IlpSolver().Solve(problem);
 }
 
 TEST(SolverCrossCheck, MatchesBruteForceOnRandomProblems) {
@@ -91,21 +88,6 @@ TEST(SolverCrossCheck, OptimalPlansAreBitIdentical) {
   EXPECT_GT(compared, 150);  // Nearly every trial must reach optimality.
 }
 
-TEST(SolverCrossCheck, PoolDoesNotChangeTheSolution) {
-  Rng rng(555);
-  ThreadPool pool(4);
-  for (int trial = 0; trial < 40; ++trial) {
-    const int nodes = 4 + static_cast<int>(rng.NextBounded(8));
-    const IlpProblem problem = RandomProblem(rng, nodes, 4, 0.5, trial % 3 == 0 ? 0.1 : 0.0);
-    const IlpSolution serial = SolveWith(problem, nullptr);
-    const IlpSolution parallel = SolveWith(problem, &pool);
-    ASSERT_EQ(serial.choice, parallel.choice) << "trial " << trial;
-    EXPECT_EQ(serial.objective, parallel.objective) << trial;  // Bitwise.
-    EXPECT_EQ(serial.optimal, parallel.optimal) << trial;
-    EXPECT_EQ(serial.nodes_explored, parallel.nodes_explored) << trial;
-  }
-}
-
 TEST(SolverCrossCheck, CoreMemoHitReturnsIdenticalSolution) {
   Rng rng(777);
   int memoized = 0;
@@ -159,29 +141,6 @@ TEST(SolverCrossCheck, StagedSolvesDisconnectedComponentsExactly) {
     const IlpSolution solution = SolveWith(problem);
     ASSERT_TRUE(solution.optimal) << trial;
     EXPECT_NEAR(solution.objective, BruteForce(problem), 1e-9) << trial;
-  }
-}
-
-TEST(SolverCrossCheck, SearchPoolDoesNotChangeTheSolution) {
-  Rng rng(929);
-  ThreadPool pool(4);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int nodes = 6 + static_cast<int>(rng.NextBounded(8));
-    const IlpProblem problem = RandomProblem(rng, nodes, 4, 0.6, trial % 3 == 0 ? 0.1 : 0.0);
-    IlpSolverOptions serial_options;
-    serial_options.max_elimination_table = 0;  // Keep the core on the B&B path.
-    serial_options.max_search_nodes = 8'192;   // Reduced; no trial here aborts.
-    IlpSolverOptions pooled_options = serial_options;
-    pooled_options.pool = &pool;
-    ClearIlpCoreMemo();
-    const IlpSolution serial = IlpSolver(serial_options).Solve(problem);
-    ClearIlpCoreMemo();
-    const IlpSolution parallel = IlpSolver(pooled_options).Solve(problem);
-    ASSERT_EQ(serial.choice, parallel.choice) << "trial " << trial;
-    EXPECT_EQ(serial.objective, parallel.objective) << trial;  // Bitwise.
-    EXPECT_EQ(serial.optimal, parallel.optimal) << trial;
-    EXPECT_EQ(serial.nodes_explored, parallel.nodes_explored) << trial;
-    EXPECT_EQ(serial.lower_bound, parallel.lower_bound) << trial;
   }
 }
 

@@ -1,69 +1,75 @@
 // ThreadSanitizer harness for the parallel compilation pipeline.
 //
-// First runs the branch & bound's root-parallel search on a budget that
-// aborts it, serially and on 4 threads, and checks the results are
-// bit-identical. Then compiles a tiny GPT serially and with 4 worker
-// threads under -fsanitize=thread (this whole binary, library sources
-// included, is TSan-instrumented by tests/CMakeLists.txt) and checks
-// PlanEquals. Any
-// data race in the profiler's once_flag cells, the memo cache, the stage
-// DP's parallel precompute, or the pool itself fails the run. Tracing is
-// enabled for both compiles so the recorder's lane buffers, the metrics
-// registry, and the exporter run under TSan too, and the "compile"-category
-// span multiset must be identical across thread counts. Kept small: TSan
-// slows execution by an order of magnitude.
+// First runs four concurrent solves of one core on a budget that aborts the
+// search and checks each is bit-identical to a serial solve; the solver's
+// process-wide core memo and the metrics registry are the state they share.
+// Then compiles a tiny GPT serially and with 4 worker threads under
+// -fsanitize=thread (this whole binary, library sources included, is
+// TSan-instrumented by tests/CMakeLists.txt) and checks PlanEquals, once
+// under a reduced search budget and once with elimination off and a budget
+// that aborts searches. Any data race in the profiler's once_flag cells,
+// the memo cache, the stage DP's parallel precompute, or the pool itself
+// fails the run. Tracing is enabled for the compiles so the recorder's lane
+// buffers, the metrics registry, and the exporter run under TSan too, and
+// the "compile"-category span multiset must be identical across thread
+// counts. Kept small: TSan slows execution by an order of magnitude.
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/inter/inter_pass.h"
 #include "src/intra/ilp_cache.h"
 #include "src/models/gpt.h"
-#include "src/solver/flat_bnb.h"
+#include "src/solver/ilp_solver.h"
 #include "src/support/rng.h"
-#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 #include "tests/ilp_oracle.h"
 
 namespace {
 
-// A dense instance from the flat branch & bound's redistribution tests. Its
-// proof takes 1,036 nodes, so a 1,000-node budget aborts.
+// A dense instance from the flat branch & bound's budget tests. Its proof
+// takes 776 nodes, so a 300-node budget aborts.
 alpa::IlpProblem DenseProblem() {
   alpa::Rng rng(45);
   return alpa::RandomProblem(rng, 14, 5, 0.8);
 }
 
-// Runs the root-parallel branch & bound over the pool under TSan, with a
-// budget that aborts so the budget redistribution rounds run too, and
-// checks the 4-thread result is bit-identical to the serial one. Returns
-// false on any divergence.
+// Solves the dense core on 4 threads at once, starting from an empty core
+// memo so the threads race on its lookups and inserts, and checks every
+// result is bit-identical to a serial solve. Returns false on any
+// divergence.
 bool CheckSearchRace() {
   const alpa::IlpProblem problem = DenseProblem();
-  alpa::FlatSearchOptions options;
-  options.budget = 1'000;
-  const alpa::FlatSearchResult serial = alpa::SolveCore(problem, options);
-
-  alpa::ThreadPool pool(4);
-  alpa::FlatSearchOptions pooled = options;
-  pooled.pool = &pool;
-  const alpa::FlatSearchResult parallel = alpa::SolveCore(problem, pooled);
-
-  if (!serial.feasible || !parallel.feasible) {
-    std::fprintf(stderr, "FAIL: search infeasible (serial=%d parallel=%d)\n",
-                 serial.feasible, parallel.feasible);
+  alpa::IlpSolverOptions options;
+  options.max_elimination_table = 0;  // Keep the core on the search.
+  options.max_search_nodes = 300;
+  const alpa::IlpSolver solver(options);
+  alpa::ClearIlpCoreMemo();
+  const alpa::IlpSolution serial = solver.Solve(problem);
+  if (!serial.feasible || serial.optimal) {
+    std::fprintf(stderr, "FAIL: serial search must be feasible and aborted (feasible=%d)\n",
+                 serial.feasible);
     return false;
   }
-  if (!serial.aborted) {
-    std::fprintf(stderr, "FAIL: search proved optimality; the budget must abort it\n");
-    return false;
+
+  alpa::ClearIlpCoreMemo();
+  std::vector<alpa::IlpSolution> results(4);
+  std::vector<std::thread> threads;
+  for (alpa::IlpSolution& result : results) {
+    threads.emplace_back([&solver, &problem, &result] { result = solver.Solve(problem); });
   }
-  if (serial.choice != parallel.choice || serial.objective != parallel.objective ||
-      serial.lower_bound != parallel.lower_bound || serial.explored != parallel.explored ||
-      serial.aborted != parallel.aborted) {
-    std::fprintf(stderr, "FAIL: search result differs across thread counts\n");
-    return false;
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (const alpa::IlpSolution& r : results) {
+    if (r.choice != serial.choice || r.objective != serial.objective ||
+        r.lower_bound != serial.lower_bound || r.nodes_explored != serial.nodes_explored ||
+        r.optimal != serial.optimal) {
+      std::fprintf(stderr, "FAIL: a concurrent solve differs from the serial solve\n");
+      return false;
+    }
   }
   return true;
 }
@@ -81,13 +87,12 @@ std::map<std::string, int> CompileSpanSet() {
   return set;
 }
 
-}  // namespace
-
-int main() {
+// Compiles the tiny GPT serially and on 4 threads under `solver` and checks
+// the plans and the compile-span sets are identical; with `expect_aborts`,
+// each compile must also abort at least one search. Returns false on any
+// failure.
+bool CheckCompile(const alpa::IlpSolverOptions& solver, bool expect_aborts) {
   using namespace alpa;
-  if (!CheckSearchRace()) {
-    return 1;
-  }
   GptConfig config;
   config.hidden = 128;
   config.num_layers = 2;
@@ -100,39 +105,40 @@ int main() {
   InterOpOptions options;
   options.num_microbatches = 4;
   options.target_layers = 2;
-  options.profiler.intra.solver.max_search_nodes = 5'000;
+  options.profiler.intra.solver = solver;
 
-  if (Trace::kCompiledIn) {
-    Trace::Enable();
+  CompiledPipeline plans[2];
+  std::map<std::string, int> spans[2];
+  int64_t aborted[2] = {0, 0};
+  for (int run = 0; run < 2; ++run) {
+    IlpMemoCache::Global().Clear();
+    Trace::Clear();
+    const int64_t aborted_before = Metrics::Value("ilp/outcome/aborted");
+    Graph graph = BuildGpt(config);
+    options.compile_threads = run == 0 ? 1 : 4;
+    plans[run] = RunInterOpPass(graph, cluster, options);
+    spans[run] = CompileSpanSet();
+    aborted[run] = Metrics::Value("ilp/outcome/aborted") - aborted_before;
+    if (!plans[run].feasible) {
+      std::fprintf(stderr, "FAIL: compilation infeasible at %d threads\n",
+                   options.compile_threads);
+      return false;
+    }
+    if (expect_aborts && aborted[run] == 0) {
+      std::fprintf(stderr, "FAIL: no search aborted at %d threads\n", options.compile_threads);
+      return false;
+    }
   }
-
-  IlpMemoCache::Global().Clear();
-  Trace::Clear();
-  Graph serial_graph = BuildGpt(config);
-  options.compile_threads = 1;
-  const CompiledPipeline serial = RunInterOpPass(serial_graph, cluster, options);
-  const std::map<std::string, int> serial_spans = CompileSpanSet();
-
-  IlpMemoCache::Global().Clear();
-  Trace::Clear();
-  Graph parallel_graph = BuildGpt(config);
-  options.compile_threads = 4;
-  const CompiledPipeline parallel = RunInterOpPass(parallel_graph, cluster, options);
-  const std::map<std::string, int> parallel_spans = CompileSpanSet();
-
-  if (!serial.feasible || !parallel.feasible) {
-    std::fprintf(stderr, "FAIL: compilation infeasible (serial=%d parallel=%d)\n",
-                 serial.feasible, parallel.feasible);
-    return 1;
-  }
-  if (!PlanEquals(serial, parallel)) {
+  const std::map<std::string, int>& serial_spans = spans[0];
+  const std::map<std::string, int>& parallel_spans = spans[1];
+  if (!PlanEquals(plans[0], plans[1])) {
     std::fprintf(stderr, "FAIL: parallel plan differs from serial plan\n");
-    return 1;
+    return false;
   }
   if (Trace::kCompiledIn) {
     if (serial_spans.empty()) {
       std::fprintf(stderr, "FAIL: tracing enabled but no compile spans recorded\n");
-      return 1;
+      return false;
     }
     if (serial_spans != parallel_spans) {
       std::fprintf(stderr, "FAIL: compile-span set differs across thread counts\n");
@@ -148,18 +154,38 @@ int main() {
           std::fprintf(stderr, "  parallel has %dx %s\n", count, key.c_str());
         }
       }
-      return 1;
+      return false;
     }
     // Exercise the exporter under TSan as well.
     const Status written = Trace::WriteJson("tsan_trace_out.json");
     if (!written.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", written.ToString().c_str());
-      return 1;
+      return false;
     }
   }
   std::printf("OK: plans identical under TSan (%lld solves serial, %lld parallel, "
-              "%zu compile span kinds)\n",
-              static_cast<long long>(serial.stats.ilp_solves),
-              static_cast<long long>(parallel.stats.ilp_solves), serial_spans.size());
-  return 0;
+              "%lld/%lld aborted, %zu compile span kinds)\n",
+              static_cast<long long>(plans[0].stats.ilp_solves),
+              static_cast<long long>(plans[1].stats.ilp_solves),
+              static_cast<long long>(aborted[0]), static_cast<long long>(aborted[1]),
+              serial_spans.size());
+  return true;
+}
+
+}  // namespace
+
+int main() {
+  using namespace alpa;
+  if (!CheckSearchRace()) {
+    return 1;
+  }
+  if (Trace::kCompiledIn) {
+    Trace::Enable();
+  }
+  IlpSolverOptions reduced;
+  reduced.max_search_nodes = 5'000;
+  IlpSolverOptions aborting;
+  aborting.max_elimination_table = 0;
+  aborting.max_search_nodes = 100;
+  return CheckCompile(reduced, false) && CheckCompile(aborting, true) ? 0 : 1;
 }
