@@ -1,5 +1,5 @@
-// Golden plan corpus: the Fig. 8 paper cases at 1, 4, 8 and 16 GPUs for
-// GPT, MoE and Wide-ResNet, compiled with the fig8 benches' microbatch and
+// Golden plan corpus: all 18 Fig. 8 paper cases (1 to 64 GPUs) for GPT,
+// MoE and Wide-ResNet, compiled with the fig8 benches' microbatch and
 // target-layer settings under the bench search budget. Each case has one
 // line in tests/golden/fig8_plans.txt:
 //
@@ -39,15 +39,10 @@ struct GoldenCase {
   int target_layers = 1;
 };
 
-bool InCorpus(int num_gpus) {
-  return num_gpus == 1 || num_gpus == 4 || num_gpus == 8 || num_gpus == 16;
-}
-
 // The settings of bench/fig8_gpt, fig8_moe and fig8_wresnet.
 std::vector<GoldenCase> Fig8Cases() {
   std::vector<GoldenCase> cases;
   for (const GptBenchmarkCase& c : GptPaperCases()) {
-    if (!InCorpus(c.num_gpus)) continue;
     GptConfig config = c.config;
     config.microbatch = 8;
     cases.push_back({c.name, c.num_gpus, [config] { return BuildGpt(config); },
@@ -55,7 +50,6 @@ std::vector<GoldenCase> Fig8Cases() {
                      c.num_gpus >= 8 ? 16 : 8});
   }
   for (const MoeBenchmarkCase& c : MoePaperCases()) {
-    if (!InCorpus(c.num_gpus)) continue;
     MoeConfig config = c.config;
     config.microbatch = 8;
     cases.push_back({c.name, c.num_gpus, [config] { return BuildMoe(config); },
@@ -63,7 +57,6 @@ std::vector<GoldenCase> Fig8Cases() {
                      static_cast<int>(config.num_layers)});
   }
   for (const WideResNetBenchmarkCase& c : WideResNetPaperCases()) {
-    if (!InCorpus(c.num_gpus)) continue;
     WideResNetConfig config = c.config;
     config.microbatch = 24;
     cases.push_back({c.name, c.num_gpus, [config] { return BuildWideResNet(config); },
@@ -125,7 +118,7 @@ std::map<std::string, std::string> LoadCorpus() {
 TEST(GoldenPlans, Fig8CorpusMatches) {
   const std::map<std::string, std::string> corpus = LoadCorpus();
   const std::vector<GoldenCase> cases = Fig8Cases();
-  ASSERT_EQ(cases.size(), 12u);
+  ASSERT_EQ(cases.size(), 18u);
   for (const GoldenCase& c : cases) {
     IlpMemoCache::Global().Clear();  // Each line is a cold compile.
     Graph graph = c.build();
