@@ -1,5 +1,5 @@
-// Compile-speed benchmark for the ILP solver pipeline (presolve + variable
-// elimination + the diffusion-bounded flat branch & bound).
+// Compile-speed benchmark for the ILP solver pipeline (presolve + the
+// diffusion-bounded flat branch & bound).
 //
 // Compilations of the fig8 GPT setting (GPT-2.6B on 8 GPUs, 16 target
 // layers) drive the measurement:
@@ -39,11 +39,6 @@ struct PresolveSnapshot {
   long long aborted = 0;
   long long explored = 0;
   long long gap_ppm_sum = 0;
-  long long elim_solved = 0;
-  long long elim_bailed = 0;
-  long long elim_cells = 0;
-  long long elim_micros = 0;
-  long long plan_micros = 0;
   long long presolve_micros = 0;
   long long key_micros = 0;
   long long bnb_micros = 0;
@@ -57,11 +52,6 @@ struct PresolveSnapshot {
   static PresolveSnapshot Take() {
     using alpa::Metrics;
     PresolveSnapshot s;
-    s.elim_solved = Metrics::Value("ilp/elim/solved");
-    s.elim_bailed = Metrics::Value("ilp/elim/bailed");
-    s.elim_cells = Metrics::Value("ilp/elim/cells");
-    s.elim_micros = Metrics::Value("ilp/elim/micros");
-    s.plan_micros = Metrics::Value("ilp/elim/plan_micros");
     s.presolve_micros = Metrics::Value("ilp/presolve/micros");
     s.key_micros = Metrics::Value("ilp/core_memo/key_micros");
     s.bnb_micros = Metrics::Value("ilp/bnb/micros");
@@ -95,11 +85,6 @@ struct PresolveSnapshot {
     d.aborted = aborted - before.aborted;
     d.explored = explored - before.explored;
     d.gap_ppm_sum = gap_ppm_sum - before.gap_ppm_sum;
-    d.elim_solved = elim_solved - before.elim_solved;
-    d.elim_bailed = elim_bailed - before.elim_bailed;
-    d.elim_cells = elim_cells - before.elim_cells;
-    d.elim_micros = elim_micros - before.elim_micros;
-    d.plan_micros = plan_micros - before.plan_micros;
     d.presolve_micros = presolve_micros - before.presolve_micros;
     d.key_micros = key_micros - before.key_micros;
     d.bnb_micros = bnb_micros - before.bnb_micros;
@@ -175,14 +160,9 @@ int main(int argc, char** argv) {
                 static_cast<long long>(stats.ilp_cache_misses), d.nodes_in, d.nodes_out,
                 d.choices_in, d.choices_out, d.edges_in, d.edges_out, d.optimal, d.aborted,
                 d.explored);
-    if (d.elim_solved + d.elim_bailed > 0) {
-      std::printf("%-14s elimination: %lld solved, %lld bailed to search, %lld table cells,"
-                  " %.3fs tables + %.3fs ordering\n",
-                  "", d.elim_solved, d.elim_bailed, d.elim_cells, d.elim_micros * 1e-6,
-                  d.plan_micros * 1e-6);
+    if (d.optimal + d.aborted > 0) {
       // Search includes building each flat core, whose min-sum diffusion
-      // is broken out; the core-memo keys sit between presolve and
-      // elimination.
+      // is broken out; the core-memo keys sit between presolve and search.
       std::printf("%-14s stage time: presolve %.3fs, core keys %.3fs, search %.3fs"
                   " (diffusion %.3fs, %lld sweeps)\n",
                   "", d.presolve_micros * 1e-6, d.key_micros * 1e-6, d.bnb_micros * 1e-6,
@@ -220,9 +200,6 @@ int main(int argc, char** argv) {
         .Num("max_optimality_gap", max_gap)
         .Num("mean_optimality_gap", mean_gap)
         .Int("search_nodes_explored", d.explored)
-        .Int("elim_solved", d.elim_solved)
-        .Int("elim_bailed", d.elim_bailed)
-        .Int("elim_table_cells", d.elim_cells)
         .Num("build_seconds", d.build_micros * 1e-6)
         .Num("enum_seconds", d.enum_micros * 1e-6)
         .Num("edge_seconds", d.edge_micros * 1e-6)

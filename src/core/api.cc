@@ -1,6 +1,7 @@
 #include "src/core/api.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "src/support/logging.h"
@@ -259,6 +260,18 @@ StatusOr<RepairResult> RepairPlan(Graph& graph, const ClusterSpec& cluster,
     return Status::InvalidArgument(StrFormat("failed_host %d out of range [0, %d)",
                                              options.failed_host, cluster.num_hosts));
   }
+  // Repair requests arrive over the wire; a non-finite or negative model
+  // field would be priced into a negative or NaN goodput.
+  const MtbfModel& mtbf = options.mtbf;
+  if (!std::isfinite(mtbf.mtbf_seconds) || !std::isfinite(mtbf.checkpoint_interval_seconds) ||
+      !std::isfinite(mtbf.checkpoint_restore_seconds) ||
+      mtbf.checkpoint_interval_seconds < 0.0 || mtbf.checkpoint_restore_seconds < 0.0) {
+    return Status::InvalidArgument(
+        StrFormat("MTBF model needs finite fields and a non-negative checkpoint interval and "
+                  "restore (got mtbf=%g interval=%g restore=%g)",
+                  mtbf.mtbf_seconds, mtbf.checkpoint_interval_seconds,
+                  mtbf.checkpoint_restore_seconds));
+  }
   if (cluster.num_hosts <= 1) {
     return Status::Infeasible(
         "cannot repair a single-host cluster: no hosts remain after dropping "
@@ -311,7 +324,6 @@ StatusOr<RepairResult> RepairPlan(Graph& graph, const ClusterSpec& cluster,
   result.plan = std::move(*plan);
   result.stats = *stats;
 
-  const MtbfModel& mtbf = options.mtbf;
   result.expected_downtime_seconds = cluster.faults.detection_timeout +
                                      result.recompile_seconds +
                                      mtbf.checkpoint_restore_seconds +

@@ -82,7 +82,6 @@ bool ComputeIlpCacheKey(const ClusterSpec& cluster, const SubmeshShape& physical
   hasher.I32(options.num_microbatches);
   hasher.Bool(options.rematerialize);
   hasher.I64(options.solver.max_search_nodes);
-  hasher.I64(options.solver.max_elimination_table);
   key->structural_hash = structural_hash;
   key->config_hash = hasher.hash();
   return true;

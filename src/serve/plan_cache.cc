@@ -508,7 +508,6 @@ bool ComputePlanCacheKey(const Graph& graph, const ClusterSpec& cluster,
   hasher.Bool(inter.profiler.memory_modes);
   hasher.Bool(intra.rematerialize);
   hasher.I64(intra.solver.max_search_nodes);
-  hasher.I64(intra.solver.max_elimination_table);
   hasher.U64(profile_fingerprint);
   key->config_hash = hasher.hash();
   return true;

@@ -20,7 +20,6 @@ void EncodeOptions(const PlanRequestOptions& options, WireWriter* w) {
   w->Bool(options.equal_layer_stages);
   w->U8(static_cast<uint8_t>(options.reshard));
   w->I64(options.max_search_nodes);
-  w->I64(options.max_elimination_table);
   w->F64(options.deadline_seconds);
   w->Str(options.tenant);
   w->Bool(options.use_plan_cache);
@@ -43,7 +42,6 @@ Status DecodeOptions(WireReader* r, PlanRequestOptions* out) {
   }
   out->reshard = static_cast<ReshardStrategy>(reshard);
   out->max_search_nodes = r->I64();
-  out->max_elimination_table = r->I64();
   out->deadline_seconds = r->F64();
   out->tenant = r->Str();
   out->use_plan_cache = r->Bool();

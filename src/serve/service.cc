@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "src/serve/plan_cache.h"
 #include "src/serve/plan_db.h"
@@ -22,8 +23,11 @@ double NowSeconds() {
 }  // namespace
 
 StatusOr<ParallelizeOptions> PlanRequestOptions::ToParallelizeOptions() const {
+  if (!std::isfinite(deadline_seconds)) {
+    return Status::InvalidArgument("plan request: deadline_seconds is not finite");
+  }
   if (num_microbatches < 0 || target_layers < 0 || max_search_nodes < 0 ||
-      deadline_seconds < 0 || max_elimination_table < -1) {
+      deadline_seconds < 0) {
     return Status::InvalidArgument("plan request: negative option field");
   }
   ParallelizeOptions options;
@@ -48,15 +52,15 @@ StatusOr<ParallelizeOptions> PlanRequestOptions::ToParallelizeOptions() const {
     // Cap the per-solve budget so the whole compile has a chance of
     // landing inside the deadline, above a 1000-node floor. Capped budgets
     // are where searches abort; an aborted solve still returns the
-    // search's best incumbent with a proven gap.
-    const int64_t deadline_budget =
-        std::max<int64_t>(1000, static_cast<int64_t>(deadline_seconds * kSearchNodesPerSecond));
-    budget = std::min(budget, deadline_budget);
+    // search's best incumbent with a proven gap. Compared in double: a
+    // long deadline's node count can exceed int64, and a deadline may
+    // only lower the budget.
+    const double deadline_budget = std::max(1000.0, deadline_seconds * kSearchNodesPerSecond);
+    if (deadline_budget < static_cast<double>(budget)) {
+      budget = static_cast<int64_t>(deadline_budget);
+    }
   }
   options.inter.profiler.intra.solver.max_search_nodes = budget;
-  if (max_elimination_table >= 0) {
-    options.inter.profiler.intra.solver.max_elimination_table = max_elimination_table;
-  }
   ALPA_RETURN_IF_ERROR(options.Finalize());
   return options;
 }

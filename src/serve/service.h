@@ -46,10 +46,6 @@ struct PlanRequestOptions {
   bool equal_layer_stages = false;
   ReshardStrategy reshard = ReshardStrategy::kLocalAllGather;
   int64_t max_search_nodes = 0;  // Per-ILP node budget; 0 = library default.
-  // Per-ILP elimination-table cap: -1 = library default, 0 = disable the
-  // elimination stage (every solve goes to branch-and-bound — the lever
-  // the anytime tests use to force budget-capped searches), >0 = cap.
-  int64_t max_elimination_table = -1;
   // Soft compute deadline. 0 = none. In-process (and on the server) the
   // remaining deadline scales the ILP search budget down so the compile
   // lands inside it; a request that is already past its deadline when a

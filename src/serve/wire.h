@@ -62,7 +62,8 @@ inline constexpr uint32_t kWireMagic = 0x414C5057u;  // "ALPW".
 // v3: ClusterSpec carries per-host DeviceSpec overrides (mixed-generation
 // clusters); responses carry elastic speculation stats; new kElasticStats
 // request method.
-inline constexpr uint16_t kWireVersion = 3;
+// v4: requests no longer carry max_elimination_table.
+inline constexpr uint16_t kWireVersion = 4;
 
 // What an envelope's payload decodes as.
 enum class WireKind : uint16_t {

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/solver/elimination.h"
 #include "src/solver/flat_bnb.h"
 #include "src/solver/ilp_presolve.h"
 #include "src/support/hashing.h"
@@ -69,15 +68,14 @@ namespace {
 // Process-wide memo of core solves. The stage profiler solves the same
 // presolved core many times across mesh variants whose differences folded
 // away in presolve; the key covers everything the core search depends on
-// (core fingerprint, budget, elimination cap), so a hit is exact. Cleared
-// by IlpMemoCache::Clear() via ClearIlpCoreMemo().
+// (core fingerprint and budget), so a hit is exact. Cleared by
+// IlpMemoCache::Clear() via ClearIlpCoreMemo().
 struct CoreEntry {
   std::vector<int> choice;  // Core-compact.
   bool aborted = false;
-  bool by_elimination = false;
   int64_t explored = 0;
   // Core-space (clamped) lower bound from the search; only meaningful
-  // when `aborted` (exact paths prove optimality instead).
+  // when `aborted` (a completed search proves optimality instead).
   double lower_bound = 0.0;
 };
 
@@ -171,7 +169,6 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
   }
 
   static Metric* dp_path = Metrics::Get("ilp/path/dp");
-  static Metric* elim_path = Metrics::Get("ilp/path/elim");
   static Metric* search_path = Metrics::Get("ilp/path/search");
   static Metric* memo_hits = Metrics::Get("ilp/core_memo/hits");
   static Metric* memo_misses = Metrics::Get("ilp/core_memo/misses");
@@ -190,26 +187,12 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
     return solution;
   }
 
-  // Two keys into one memo table. Elimination ignores the search budget, so
-  // its (exact, deterministic) results are stored under a budget-free key
-  // and hit across solves with different budgets. Search results depend on
-  // the budget (ties and incumbents on aborts), so they key on it too. The
-  // elimination cap participates in both keys: elimination and search are
-  // both exact but tie-break differently. The core is hashed once, for
-  // both keys.
+  // Search results depend on the budget (ties and incumbents on aborts),
+  // so the memo key covers it next to the core.
   static Metric* key_micros = Metrics::Get("ilp/core_memo/key_micros");
   const auto key_t0 = std::chrono::steady_clock::now();
-  const uint64_t core_fingerprint = IlpProblemFingerprint(pre.core);
-  const uint64_t exact_key = WordHash64()
-                                 .U64(0x45'4c'49'4dULL)  // Salt disjoint from the full key.
-                                 .U64(core_fingerprint)
-                                 .I64(options_.max_elimination_table)
-                                 .hash();
-  const uint64_t full_key = WordHash64()
-                                .U64(core_fingerprint)
-                                .I64(options_.max_search_nodes)
-                                .I64(options_.max_elimination_table)
-                                .hash();
+  const uint64_t key =
+      WordHash64().U64(IlpProblemFingerprint(pre.core)).I64(options_.max_search_nodes).hash();
   key_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - key_t0)
                       .count());
@@ -218,10 +201,7 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
   {
     CoreMemo& memo = GlobalCoreMemo();
     std::lock_guard<std::mutex> lock(memo.mu);
-    auto it = memo.entries.find(exact_key);
-    if (it == memo.entries.end()) {
-      it = memo.entries.find(full_key);
-    }
+    const auto it = memo.entries.find(key);
     if (it != memo.entries.end()) {
       entry = it->second;
       have_entry = true;
@@ -232,32 +212,24 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
   }
 
   if (!have_entry) {
-    std::optional<std::vector<int>> eliminated =
-        SolveByElimination(pre.core, options_.max_elimination_table);
-    if (eliminated.has_value()) {
-      entry.choice = std::move(*eliminated);
-      entry.by_elimination = true;
-    } else {
-      // Times the flat-core build, its diffusion and the search together.
-      const auto bnb_t0 = std::chrono::steady_clock::now();
-      FlatSearchResult res =
-          SolveCore(pre.core, std::max<int64_t>(1, options_.max_search_nodes));
-      bnb_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - bnb_t0)
-                          .count());
-      entry.choice = std::move(res.choice);
-      entry.aborted = res.aborted;
-      entry.explored = res.explored;
-      entry.lower_bound = res.lower_bound;
-    }
+    // Times the flat-core build, its diffusion and the search together.
+    const auto bnb_t0 = std::chrono::steady_clock::now();
+    FlatSearchResult res = SolveCore(pre.core, std::max<int64_t>(1, options_.max_search_nodes));
+    bnb_micros->Add(std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - bnb_t0)
+                        .count());
+    entry.choice = std::move(res.choice);
+    entry.aborted = res.aborted;
+    entry.explored = res.explored;
+    entry.lower_bound = res.lower_bound;
     CoreMemo& memo = GlobalCoreMemo();
     std::lock_guard<std::mutex> lock(memo.mu);
     if (memo.entries.size() < kCoreMemoCap) {
-      memo.entries.emplace(entry.by_elimination ? exact_key : full_key, entry);
+      memo.entries.emplace(key, entry);
     }
   }
 
-  (entry.by_elimination ? elim_path : search_path)->Add(1);
+  search_path->Add(1);
   solution.choice = pre.Reconstruct(entry.choice);
   solution.objective = raw.Evaluate(solution.choice);
   solution.nodes_explored = entry.explored;
@@ -274,11 +246,7 @@ IlpSolution IlpSolver::Solve(const IlpProblem& raw) const {
   }
   solution.feasible = std::isfinite(solution.objective);
   solution.lower_bound = std::min(raw_lb, solution.objective);
-  if (entry.by_elimination) {
-    solution.method = "elimination";
-  } else {
-    solution.method = entry.aborted ? "search(budget)" : "search";
-  }
+  solution.method = entry.aborted ? "search(budget)" : "search";
   solution.optimal = !entry.aborted && solution.feasible;
   RecordOutcomeMetrics(solution);
   return solution;

@@ -10,15 +10,12 @@
 //      dominated-choice elimination, and degree-0/1/2 folding run to a
 //      fixpoint — chains and trees (most merged DL graphs) fold away
 //      entirely, which subsumes a forest Viterbi DP;
-//   2. the residual core is first attempted by exact width-bounded
-//      variable elimination (src/solver/elimination) — real stage graphs
-//      leave cores of small induced width, solved in k^(width+1) time;
-//   3. cores whose elimination tables would blow past the cap go to the
-//      flat-memory branch & bound (src/solver/flat_bnb), bounded by min-sum
-//      diffusion: one sequential depth-first search per connected component
-//      under the search budget. A search that exhausts the budget returns
-//      its incumbent with a proven lower bound;
-//   4. the core assignment is reconstructed to the original space and
+//   2. every residual core goes to the flat-memory branch & bound
+//      (src/solver/flat_bnb), bounded by min-sum diffusion: one sequential
+//      depth-first search per connected component under the search
+//      budget. A search that exhausts the budget returns its incumbent
+//      with a proven lower bound;
+//   3. the core assignment is reconstructed to the original space and
 //      re-evaluated on the original problem.
 // A solve runs on the calling thread and is deterministic: the result is a
 // function of the problem and the options. Exactness is cross-checked
@@ -65,8 +62,7 @@ struct IlpSolution {
   bool feasible = false;    // True if objective < inf.
   int64_t nodes_explored = 0;
   std::string method;       // "empty", "presolve" (infeasible), "dp-forest",
-                            // "elimination", "search"; "(budget)" suffix
-                            // on aborts.
+                            // "search"; "(budget)" suffix on aborts.
   // Proven lower bound on the optimal objective (anytime contract):
   // equals `objective` when optimal; on a budget abort it comes from the
   // branch & bound's unexplored-subtree bounds. Always <= objective when
@@ -83,12 +79,6 @@ struct IlpSolverOptions {
   // big stage graphs; the solve then returns its best incumbent, marked
   // non-optimal, with a proven lower bound.
   int64_t max_search_nodes = 300'000;
-  // Residual cores are solved by exact variable elimination when every
-  // elimination table fits under this many cells (the cap bounds both time
-  // and memory at ~k^(width+1)); larger-width cores fall back to the
-  // search. 0 disables elimination entirely (tests use this to force the
-  // search path).
-  int64_t max_elimination_table = int64_t{1} << 16;
 };
 
 class IlpSolver {
@@ -102,7 +92,7 @@ class IlpSolver {
 };
 
 // Core solves are memoized process-wide on the presolved core's fingerprint
-// plus the search budget and elimination cap, so a hit is exact. This drops
+// plus the search budget, so a hit is exact. This drops
 // every memoized core solution; IlpMemoCache::Clear() calls it alongside
 // the full-solve cache.
 void ClearIlpCoreMemo();

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -470,6 +471,38 @@ TEST(Repair, FaultsOnSurvivingHostsShrinkFurther) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->shrunk_cluster.num_hosts, 1);
   EXPECT_TRUE(result->shrunk_cluster.faults.device_failures.empty());
+}
+
+TEST(Repair, MalformedMtbfModelRejected) {
+  // Each model arrives as a wire repair request would; priced, they gave a
+  // negative or NaN goodput.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* name;
+    MtbfModel mtbf;
+  } malformed[] = {
+      {"negative interval", {86400.0, -1e9, 30.0}},
+      {"negative restore", {86400.0, 600.0, -1e6}},
+      {"NaN interval", {86400.0, nan, 30.0}},
+      {"infinite mtbf", {inf, 600.0, 30.0}},
+  };
+  for (const auto& [name, mtbf] : malformed) {
+    Graph graph = BuildMlp(MlpConfig{});
+    RepairOptions repair;
+    repair.mtbf = mtbf;
+    const StatusOr<RepairResult> result =
+        RepairPlan(graph, ClusterSpec::AwsP3(2, 2), MlpOptions(), repair);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+  // A non-positive MTBF still means "no recurring failures".
+  Graph graph = BuildMlp(MlpConfig{});
+  RepairOptions repair;
+  repair.mtbf.mtbf_seconds = -1.0;
+  const StatusOr<RepairResult> result =
+      RepairPlan(graph, ClusterSpec::AwsP3(2, 2), MlpOptions(), repair);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->goodput_fraction, 1.0);
 }
 
 }  // namespace

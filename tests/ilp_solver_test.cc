@@ -82,23 +82,11 @@ IlpProblem FrustratedClique(int n) {
 }
 
 TEST(IlpSolver, CliqueUsesBranchAndBound) {
-  // K4 has treewidth 3: degree-2 series reduction cannot touch it, so with
-  // elimination disabled the residual core reaches the branch & bound.
-  const IlpProblem problem = FrustratedClique(4);
-  IlpSolverOptions options;
-  options.max_elimination_table = 0;
-  const IlpSolution solution = IlpSolver(options).Solve(problem);
-  EXPECT_EQ(solution.method, "search");
-  EXPECT_TRUE(solution.optimal);
-  EXPECT_DOUBLE_EQ(solution.objective, BruteForce(problem));
-}
-
-TEST(IlpSolver, CliqueUsesEliminationByDefault) {
-  // Same residual K4 core, default options: treewidth 3 is well under the
-  // elimination cap, so the core is solved by variable elimination.
+  // K4 has treewidth 3: degree-2 series reduction cannot touch it, so the
+  // residual core reaches the branch & bound.
   const IlpProblem problem = FrustratedClique(4);
   const IlpSolution solution = IlpSolver().Solve(problem);
-  EXPECT_EQ(solution.method, "elimination");
+  EXPECT_EQ(solution.method, "search");
   EXPECT_TRUE(solution.optimal);
   EXPECT_DOUBLE_EQ(solution.objective, BruteForce(problem));
 }
@@ -187,7 +175,6 @@ TEST(IlpSolver, BudgetFallbackStaysFeasible) {
   Rng rng(5);
   IlpSolverOptions options;
   options.max_search_nodes = 20;   // Force the fallback path.
-  options.max_elimination_table = 0;  // Keep the core on branch & bound.
   // Dense enough that a treewidth >= 3 core survives series reduction.
   const IlpProblem problem = RandomProblem(rng, 12, 4, 0.9);
   const IlpSolution solution = IlpSolver(options).Solve(problem);
@@ -296,7 +283,6 @@ TEST(IlpSolver, AnytimeLowerBoundOnAbort) {
 
   IlpSolverOptions options;
   options.max_search_nodes = 3;  // Tighter than any proof tree for this core.
-  options.max_elimination_table = 0;  // Keep the core on branch & bound.
   ClearIlpCoreMemo();
   const IlpSolution solution = IlpSolver(options).Solve(problem);
   ASSERT_TRUE(solution.feasible);
@@ -307,10 +293,8 @@ TEST(IlpSolver, AnytimeLowerBoundOnAbort) {
   EXPECT_GT(solution.optimality_gap(), 0.0);
 
   // An optimal solve has no gap.
-  IlpSolverOptions exact;
-  exact.max_elimination_table = 0;
   ClearIlpCoreMemo();
-  const IlpSolution optimal = IlpSolver(exact).Solve(problem);
+  const IlpSolution optimal = IlpSolver().Solve(problem);
   ASSERT_TRUE(optimal.optimal);
   EXPECT_NEAR(optimal.lower_bound, optimal.objective, 1e-12);
   EXPECT_EQ(optimal.optimality_gap(), 0.0);

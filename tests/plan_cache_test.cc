@@ -126,8 +126,6 @@ TEST_F(PlanCacheTest, KeyCoversClusterExtentAndOptions) {
        [](ParallelizeOptions& o) { o.inter.profiler.intra.rematerialize = false; }},
       {"intra.solver.max_search_nodes",
        [](ParallelizeOptions& o) { o.inter.profiler.intra.solver.max_search_nodes = 1000; }},
-      {"intra.solver.max_elimination_table",
-       [](ParallelizeOptions& o) { o.inter.profiler.intra.solver.max_elimination_table = 0; }},
   };
   for (const Flip& flip : steering) {
     ParallelizeOptions flipped = base;

@@ -1,5 +1,5 @@
 // The search path (presolve, then the diffusion-bounded flat branch &
-// bound on cores elimination cannot take): exactness on small instances,
+// bound on every residual core): exactness on small instances,
 // determinism across reruns and compile thread counts, and the anytime
 // abort contract end to end.
 #include <gtest/gtest.h>
@@ -30,10 +30,8 @@ TEST(Search, MatchesBruteForceOnSmallRandomInstances) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed);
     const IlpProblem problem = RandomProblem(rng, 8, 3, 0.5);
-    IlpSolverOptions options;
-    options.max_elimination_table = 0;  // Force the search path.
     ClearIlpCoreMemo();
-    const IlpSolution solution = IlpSolver(options).Solve(problem);
+    const IlpSolution solution = IlpSolver().Solve(problem);
     ASSERT_TRUE(solution.optimal) << "seed " << seed;
     EXPECT_DOUBLE_EQ(solution.objective, BruteForce(problem)) << "seed " << seed;
     EXPECT_DOUBLE_EQ(solution.lower_bound, solution.objective) << "seed " << seed;
@@ -60,14 +58,12 @@ TEST(Search, AbortReturnsIncumbentAndGap) {
   const IlpProblem problem = DenseProblem();
 
   IlpSolverOptions unbounded;
-  unbounded.max_elimination_table = 0;
   unbounded.max_search_nodes = 100'000'000;
   ClearIlpCoreMemo();
   const IlpSolution full = IlpSolver(unbounded).Solve(problem);
   ASSERT_TRUE(full.optimal);
 
   IlpSolverOptions starved;
-  starved.max_elimination_table = 0;
   starved.max_search_nodes = full.nodes_explored / 8;
   ClearIlpCoreMemo();
   const IlpSolution anytime = IlpSolver(starved).Solve(problem);
@@ -88,8 +84,8 @@ TEST(Search, AbortReturnsIncumbentAndGap) {
 }
 
 // Compile-level determinism: 1 and 4 compile threads must produce
-// PlanEquals-identical plans, both under a reduced search budget and with
-// elimination off and a budget small enough that searches abort.
+// PlanEquals-identical plans, both under a reduced search budget and under
+// a budget small enough that searches abort.
 TEST(Search, CompiledPlanIdenticalAcrossThreadCounts) {
   GptConfig config;
   config.hidden = 128;
@@ -106,10 +102,9 @@ TEST(Search, CompiledPlanIdenticalAcrossThreadCounts) {
   IlpSolverOptions reduced;
   reduced.max_search_nodes = 5'000;
   IlpSolverOptions aborting;
-  aborting.max_elimination_table = 0;
   aborting.max_search_nodes = 100;
   for (const IlpSolverOptions& solver : {reduced, aborting}) {
-    const bool expect_aborts = solver.max_elimination_table == 0;
+    const bool expect_aborts = solver.max_search_nodes == aborting.max_search_nodes;
     options.profiler.intra.solver = solver;
     CompiledPipeline plans[2];
     for (int run = 0; run < 2; ++run) {

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -399,6 +400,40 @@ TEST_F(ServeTest, NearDeadlineFailsFastBelowBudgetFloor) {
   server.Stop();
 }
 
+// A deadline can only lower the search budget: one too long for an int64
+// node count keeps the undeadlined budget, and a non-finite one is
+// rejected rather than read as "no deadline" or the 1,000-node floor.
+TEST_F(ServeTest, DeadlineOnlyLowersTheSearchBudget) {
+  const int64_t undeadlined_budget = IlpSolverOptions{}.max_search_nodes;
+  const std::pair<double, int64_t> budgets[] = {
+      {0.5, 100'000}, {1e3, undeadlined_budget}, {1e15, undeadlined_budget},
+      {1e300, undeadlined_budget}};
+  for (const auto& [deadline, budget] : budgets) {
+    PlanRequestOptions options;
+    options.deadline_seconds = deadline;
+    const StatusOr<ParallelizeOptions> lowered = options.ToParallelizeOptions();
+    ASSERT_TRUE(lowered.ok()) << deadline;
+    EXPECT_EQ(lowered->inter.profiler.intra.solver.max_search_nodes, budget) << deadline;
+  }
+
+  InProcessPlanService service;
+  PlanRequest request = MlpRequest(0);
+  ASSERT_TRUE(service.Parallelize(request).ok());
+  const PlanCacheKey undeadlined = service.last_outcome().key;
+  request.options.deadline_seconds = 1e300;
+  ASSERT_TRUE(service.Parallelize(request).ok());
+  EXPECT_TRUE(service.last_outcome().plan_cache_hit);
+  EXPECT_TRUE(service.last_outcome().key == undeadlined);
+
+  for (const double deadline : {std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()}) {
+    request.options.deadline_seconds = deadline;
+    EXPECT_EQ(service.Parallelize(request).status().code(), StatusCode::kInvalidArgument)
+        << deadline;
+  }
+}
+
 TEST_F(ServeTest, AnytimeTightBudgetReturnsFeasiblePlanWithGap) {
   ServerOptions options;
   options.socket_path = socket_path_;
@@ -422,7 +457,6 @@ TEST_F(ServeTest, AnytimeTightBudgetReturnsFeasiblePlanWithGap) {
   request.graph = BuildGpt(hard);
   request.options.use_plan_cache = false;
   request.options.max_search_nodes = 20;
-  request.options.max_elimination_table = 0;  // Disable exact elimination.
   const StatusOr<ServeResponse> response =
       client.Call([&] {
         ServeRequest wire;

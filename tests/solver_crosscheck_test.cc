@@ -1,5 +1,5 @@
-// Randomized cross-check of the solver pipeline (presolve + variable
-// elimination + the branch & bound search) against the brute-force oracle
+// Randomized cross-check of the solver pipeline (presolve + the branch &
+// bound search) against the brute-force oracle
 // (tests/ilp_oracle.h). The oracle is exact on every instance, so every
 // proven-optimal solve must match its objective to rounding — and with
 // continuous random costs the optimum is unique, so the full choice
@@ -107,6 +107,16 @@ TEST(SolverCrossCheck, CoreMemoHitReturnsIdenticalSolution) {
     EXPECT_EQ(miss.choice, hit.choice) << trial;
     EXPECT_EQ(miss.objective, hit.objective) << trial;
     EXPECT_EQ(miss.nodes_explored, hit.nodes_explored) << trial;
+    // The key covers the node budget: the same cores under another budget
+    // miss again.
+    IlpSolverOptions other_budget;
+    other_budget.max_search_nodes += 1;
+    const int64_t hits_before = Metrics::Value("ilp/core_memo/hits");
+    const int64_t misses_before = Metrics::Value("ilp/core_memo/misses");
+    const IlpSolution other = IlpSolver(other_budget).Solve(problem);
+    EXPECT_EQ(Metrics::Value("ilp/core_memo/hits"), hits_before) << trial;
+    EXPECT_EQ(Metrics::Value("ilp/core_memo/misses") - misses_before, core_lookups) << trial;
+    EXPECT_EQ(other.objective, miss.objective) << trial;
   }
   EXPECT_GT(memoized, 0);  // Some trials must leave a core past presolve.
   ClearIlpCoreMemo();

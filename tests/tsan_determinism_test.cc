@@ -6,8 +6,8 @@
 // Then compiles a tiny GPT serially and with 4 worker threads under
 // -fsanitize=thread (this whole binary, library sources included, is
 // TSan-instrumented by tests/CMakeLists.txt) and checks PlanEquals, once
-// under a reduced search budget and once with elimination off and a budget
-// that aborts searches. Any data race in the profiler's once_flag cells,
+// under a reduced search budget and once under a budget that aborts
+// searches. Any data race in the profiler's once_flag cells,
 // the memo cache, the stage DP's parallel precompute, or the pool itself
 // fails the run. Tracing is enabled for the compiles so the recorder's lane
 // buffers, the metrics registry, and the exporter run under TSan too, and
@@ -43,7 +43,6 @@ alpa::IlpProblem DenseProblem() {
 bool CheckSearchRace() {
   const alpa::IlpProblem problem = DenseProblem();
   alpa::IlpSolverOptions options;
-  options.max_elimination_table = 0;  // Keep the core on the search.
   options.max_search_nodes = 300;
   const alpa::IlpSolver solver(options);
   alpa::ClearIlpCoreMemo();
@@ -185,7 +184,6 @@ int main() {
   IlpSolverOptions reduced;
   reduced.max_search_nodes = 5'000;
   IlpSolverOptions aborting;
-  aborting.max_elimination_table = 0;
   aborting.max_search_nodes = 100;
   return CheckCompile(reduced, false) && CheckCompile(aborting, true) ? 0 : 1;
 }

@@ -206,12 +206,15 @@ TEST(WireEnvelope, WrongMagicRejected) {
 }
 
 TEST(WireEnvelope, VersionSkewRejected) {
-  std::string blob = WirePack(WireKind::kGraph, "payload");
-  blob[4] = static_cast<char>(kWireVersion + 1);  // Future version.
-  std::string_view payload;
-  const Status status = WireUnpack(blob, WireKind::kGraph, &payload);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("version"), std::string::npos);
+  // A blob from the previous build and one from a future build.
+  for (const int version : {kWireVersion - 1, kWireVersion + 1}) {
+    std::string blob = WirePack(WireKind::kGraph, "payload");
+    blob[4] = static_cast<char>(version);
+    std::string_view payload;
+    const Status status = WireUnpack(blob, WireKind::kGraph, &payload);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "version " << version;
+    EXPECT_NE(status.message().find("version"), std::string::npos) << "version " << version;
+  }
 }
 
 // --- Round-trips on hand-assembled artifacts (byte-identity) ---
