@@ -57,12 +57,12 @@ namespace serve {
 
 inline constexpr uint32_t kWireMagic = 0x414C5057u;  // "ALPW".
 // v2: CompileStats gained ilp_aborts + max_optimality_gap (anytime
-// contract); requests carry max_elimination_table; responses carry the
+// contract); requests carry the elimination-table cap; responses carry the
 // plan's optimality gap and results-database record lists.
 // v3: ClusterSpec carries per-host DeviceSpec overrides (mixed-generation
 // clusters); responses carry elastic speculation stats; new kElasticStats
 // request method.
-// v4: requests no longer carry max_elimination_table.
+// v4: requests no longer carry the elimination-table cap.
 inline constexpr uint16_t kWireVersion = 4;
 
 // What an envelope's payload decodes as.
