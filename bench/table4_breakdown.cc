@@ -2,11 +2,10 @@
 //
 // The paper accelerates compilation with distributed profiling across the
 // cluster's meshes and reports the resulting phase breakdown for GPT-39B
-// (Table 4). Our analogue is the threaded compilation pipeline: the
-// (layer x variant) ILP profiling sweep, the stage DP's profile
-// precompute, and the equal-layer enumeration fan out across a worker
-// pool, with a process-wide memo cache deduplicating structurally
-// identical solves. This benchmark compiles one multi-layer GPT setting
+// (Table 4). Our analogue is the threaded compilation pipeline: its one
+// parallel phase, the (layer x mesh) ILP profiling sweep, fans out across
+// a worker pool, with a process-wide memo cache deduplicating structurally
+// identical solves; the stage DP stays serial, as in the paper. This benchmark compiles one multi-layer GPT setting
 // serially and in parallel, verifies the plans are bit-identical
 // (PlanEquals), and prints the phase breakdown, cache traffic, and
 // speedup. A third compilation against the warm cache shows the

@@ -123,9 +123,8 @@ StageDpResult SolveEqualLayerForCount(int num_stages, int num_layers, int num_mi
 
 // Restricted stage search for the "Equal layer" ablation (7.3): stage
 // boundaries are fixed to equal layer counts; only the device assignment is
-// optimized. Candidate stage counts are independent, so they fan out across
-// the pool; the merge walks candidates in ascending order with strict
-// improvement, giving the same winner as the serial loop.
+// optimized. Stage counts are tried in ascending order and only a strict
+// improvement replaces the incumbent.
 StageDpResult SolveEqualLayer(int num_layers, int num_microbatches, const ClusterSpec& cluster,
                               const std::vector<SubmeshShape>& shapes,
                               const StageProfileFn& profile, const StageDpOptions& options) {
@@ -133,20 +132,13 @@ StageDpResult SolveEqualLayer(int num_layers, int num_microbatches, const Cluste
   const double memory = options.device_memory_override > 0.0
                             ? options.device_memory_override
                             : cluster.device.memory_bytes;
-  std::vector<int> candidates;
-  for (int num_stages = 1; num_stages <= std::min(num_layers, total_devices); ++num_stages) {
-    if (num_layers % num_stages == 0) {
-      candidates.push_back(num_stages);
-    }
-  }
-  std::vector<StageDpResult> results(candidates.size());
-  ParallelFor(options.pool, static_cast<int64_t>(candidates.size()), [&](int64_t i) {
-    results[static_cast<size_t>(i)] =
-        SolveEqualLayerForCount(candidates[static_cast<size_t>(i)], num_layers,
-                                num_microbatches, shapes, profile, total_devices, memory);
-  });
   StageDpResult best;
-  for (StageDpResult& candidate : results) {
+  for (int num_stages = 1; num_stages <= std::min(num_layers, total_devices); ++num_stages) {
+    if (num_layers % num_stages != 0) {
+      continue;
+    }
+    StageDpResult candidate = SolveEqualLayerForCount(
+        num_stages, num_layers, num_microbatches, shapes, profile, total_devices, memory);
     if (candidate.feasible && candidate.total_latency < best.total_latency) {
       best = std::move(candidate);
     }
@@ -261,21 +253,26 @@ CompiledPipeline RunInterOpPass(Graph& graph, const ClusterSpec& cluster,
   ALPA_CHECK_GT(num_layers, 0);
   pipeline.stats.clustering_seconds = NowSeconds() - t0;
 
-  // --- 2. Profile stage-mesh pairs. ---
-  // One pool drives every parallel phase: the profiler's eager ILP sweep,
-  // the stage DP's profile precompute, and the equal-layer enumeration.
+  // --- 2. Profile stage-mesh pairs: the pass's one parallel phase. ---
   const int threads =
       options.compile_threads == 0 ? ThreadPool::DefaultThreads() : options.compile_threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-  }
   pipeline.stats.threads_used = std::max(threads, 1);
   const std::vector<SubmeshShape> physical_shapes =
       options.submesh_shapes.empty() ? EnumerateSubmeshShapes(cluster) : options.submesh_shapes;
   StageProfilerOptions profiler_options = options.profiler;
   profiler_options.intra.num_microbatches = options.num_microbatches;
-  StageProfiler profiler(graph, cluster, physical_shapes, profiler_options, pool.get());
+  t0 = NowSeconds();
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) {
+    pool = std::make_unique<ThreadPool>(threads);
+  }
+  const StageProfiler profiler(graph, cluster, physical_shapes, profiler_options, pool.get());
+  pool.reset();
+  pipeline.stats.profiling_wall_seconds = NowSeconds() - t0;
+  pipeline.stats.profiling_seconds = profiler.profiling_seconds();
+  pipeline.stats.ilp_solves = profiler.num_ilp_solves();
+  pipeline.stats.ilp_cache_hits = profiler.cache_hits();
+  pipeline.stats.ilp_cache_misses = profiler.cache_misses();
   // The DP iterates the profiler's expanded variant space (physical shape x
   // logical shape x memory mode); it only needs the physical device counts.
   const std::vector<SubmeshShape>& shapes = profiler.dp_shapes();
@@ -290,37 +287,22 @@ CompiledPipeline RunInterOpPass(Graph& graph, const ClusterSpec& cluster,
 
   // --- 3. Stage-slicing DP (Eqs. 2-4). ---
   t0 = NowSeconds();
-  StageDpOptions dp_options = options.dp;
-  dp_options.pool = pool.get();
-  const double profiling_before_dp = profiler.profiling_seconds();
   StageDpResult dp;
   {
     TraceSpan dp_span("stage_dp");
     dp = options.equal_layer_stages
              ? SolveEqualLayer(num_layers, options.num_microbatches, cluster, shapes,
-                               profile_fn, dp_options)
+                               profile_fn, options.dp)
              : SolveStageDp(num_layers, options.num_microbatches, cluster, shapes, profile_fn,
-                            dp_options);
+                            options.dp);
     if (dp_span.active()) {
       dp_span.set_args(StrFormat("\"num_layers\":%d,\"num_shapes\":%zu,\"feasible\":%s",
                                  num_layers, shapes.size(), dp.feasible ? "true" : "false"));
     }
   }
-  // Lazy (serial) profiling happens inside the DP's profile calls; carve
-  // its cumulative share out of the DP's wall time. Under a pool the sweep
-  // has already run, so the delta is ~0 and dp_seconds is the wall time.
-  pipeline.stats.dp_seconds =
-      std::max(0.0, NowSeconds() - t0 - (profiler.profiling_seconds() - profiling_before_dp));
+  pipeline.stats.dp_seconds = NowSeconds() - t0;
   pipeline.stats.num_tmax_tried = dp.num_tmax_tried;
-  const auto fill_profiler_stats = [&]() {
-    pipeline.stats.profiling_seconds = profiler.profiling_seconds();
-    pipeline.stats.profiling_wall_seconds = profiler.profiling_wall_seconds();
-    pipeline.stats.ilp_solves = profiler.num_ilp_solves();
-    pipeline.stats.ilp_cache_hits = profiler.cache_hits();
-    pipeline.stats.ilp_cache_misses = profiler.cache_misses();
-  };
   if (!dp.feasible) {
-    fill_profiler_stats();
     pipeline.stats.total_seconds = NowSeconds() - t_start;
     pipeline.infeasible_reason = StrFormat(
         "stage DP found no feasible stage assignment (%d layers, %zu submesh "
@@ -375,7 +357,6 @@ CompiledPipeline RunInterOpPass(Graph& graph, const ClusterSpec& cluster,
     }
   }
   if (hetero && !PlacementsMemoryFeasible(cluster, stage_profiles, *placements)) {
-    fill_profiler_stats();
     pipeline.stats.total_seconds = NowSeconds() - t_start;
     pipeline.infeasible_reason = StrFormat(
         "no placement assignment fits the mixed-generation cluster's per-host "
@@ -547,7 +528,6 @@ CompiledPipeline RunInterOpPass(Graph& graph, const ClusterSpec& cluster,
   }
   pipeline.dp_latency = dp.total_latency;
   pipeline.max_stage_latency = dp.max_stage_latency;
-  fill_profiler_stats();
   pipeline.stats.other_seconds = NowSeconds() - t0;
   pipeline.stats.total_seconds = NowSeconds() - t_start;
   return pipeline;

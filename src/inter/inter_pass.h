@@ -33,18 +33,16 @@ struct InterOpOptions {
   // Restrict the submesh shapes (e.g. only (1,1) for the inter-op-only
   // baseline); empty = the full 5.2 space.
   std::vector<SubmeshShape> submesh_shapes;
-  // Worker threads for the compilation pipeline: the profiler's eager
-  // (layer x mesh) ILP sweep, the stage DP's profile precompute, and the
-  // equal-layer stage-count enumeration all fan out across one pool.
-  // 1 = fully serial (no pool is created); 0 = hardware concurrency.
-  // Results are bit-identical for any thread count: parallel work writes
-  // disjoint slots and merges in index order, never completion order.
+  // Worker threads for the profiler's (layer x mesh) ILP sweep, the pass's
+  // one parallel phase; clustering, the stage DP and materialization run
+  // on the calling thread. 1 = fully serial (no pool is created); 0 =
+  // hardware concurrency. Results are bit-identical for any thread count:
+  // each cell writes its own slot and counters merge in cell order.
   int compile_threads = 1;
   // When non-null, every profile the stage DP and the stage
   // materialization fetch passes through this hook — measured execution
   // times override the analytical costs (see profile_feedback.h). Not
-  // owned; must outlive the pass. Must be thread-safe when
-  // compile_threads != 1.
+  // owned; must outlive the pass. Called only from the compiling thread.
   const ProfileSource* profile_source = nullptr;
   // Heterogeneity-aware stage assignment. On mixed-generation clusters
   // (ClusterSpec::host_devices), same-shape placements are interchangeable;
@@ -102,8 +100,10 @@ struct CompileStats {
   // Intra-op ILP solve time (compilation + profiling analogue), summed
   // across worker threads; exceeds wall time under a pool.
   double profiling_seconds = 0.0;
-  // Elapsed wall time spent profiling (= profiling_seconds when serial).
+  // Elapsed wall time of the profiling phase: the profiler's construction,
+  // which extracts the layers and solves the whole (layer x mesh) grid.
   double profiling_wall_seconds = 0.0;
+  // Wall time of the stage DP alone (it only reads solved profiles).
   double dp_seconds = 0.0;
   double other_seconds = 0.0;
   double total_seconds = 0.0;

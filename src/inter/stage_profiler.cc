@@ -78,7 +78,7 @@ std::string StageVariant::ToString() const {
 StageProfiler::StageProfiler(const Graph& graph, const ClusterSpec& cluster,
                              const std::vector<SubmeshShape>& shapes,
                              StageProfilerOptions options, ThreadPool* pool)
-    : graph_(graph), cluster_(cluster), options_(options), pool_(pool) {
+    : cluster_(cluster), options_(options) {
   num_layers_ = graph.NumLayers();
   ALPA_CHECK_GT(num_layers_, 0) << "Graph must be layer-tagged before profiling";
   layer_subgraphs_.reserve(static_cast<size_t>(num_layers_));
@@ -121,79 +121,47 @@ StageProfiler::StageProfiler(const Graph& graph, const ClusterSpec& cluster,
   }
   const int num_groups = static_cast<int>(variants_.size() / modes_.size());
 
-  // once_flag is immovable, so rows are emplaced at their final size and
-  // never copied or resized.
-  layer_cache_.reserve(static_cast<size_t>(num_layers_));
-  for (int l = 0; l < num_layers_; ++l) {
-    layer_cache_.emplace_back(static_cast<size_t>(num_groups));
-  }
+  layer_cache_.assign(static_cast<size_t>(num_layers_),
+                      std::vector<GroupCell>(static_cast<size_t>(num_groups)));
 
-  // Eager sweep: pre-solve every dedup-canonical cell across the pool. The
-  // interval DP touches exactly this set, so the sweep does no extra work;
-  // it only reorders it onto concurrent workers. Cell results are
-  // independent of solve order, so the sweep leaves the profiler in the
-  // same state lazy solving would. One task per mesh group, not per
-  // variant: a variant task would only block on its group's once_flag.
-  // Tasks start in list order, so neighbours run at the same time. Mirror
-  // meshes such as log(1,4) and log(4,1) build identical ILPs, and two
-  // concurrent solves of one core both miss the core memo; listing the
-  // layers inside each mesh keeps such pairs apart.
-  if (pool_ != nullptr && pool_->num_threads() > 1) {
-    // Category "pool": this span only exists when a pool drives the sweep,
-    // so the "compile"-category span set stays identical across thread
-    // counts (the determinism tests compare exactly that set).
-    TraceSpan sweep_span("profiling_sweep", "pool");
-    const double sweep_start = NowSeconds();
-    std::vector<std::pair<int, int>> cells;
-    cells.reserve(static_cast<size_t>(num_layers_) * static_cast<size_t>(num_groups));
-    for (int g = 0; g < num_groups; ++g) {
-      for (int l = 0; l < num_layers_; ++l) {
-        if (dedup_layer_[static_cast<size_t>(l)] == l) {
-          cells.emplace_back(l, g);
-        }
+  // Solve every dedup-canonical cell, one ParallelFor iteration per mesh
+  // group of a layer (the modes of a group share one build). Cell results
+  // are independent of solve order, so the pool only changes when each cell
+  // runs. Iterations are claimed in list order, so neighbours run at the
+  // same time. Mirror meshes such as log(1,4) and log(4,1) build identical
+  // ILPs, and two concurrent solves of one core both miss the core memo;
+  // listing the layers inside each mesh keeps such pairs apart.
+  std::vector<std::pair<int, int>> cells;
+  cells.reserve(static_cast<size_t>(num_layers_) * static_cast<size_t>(num_groups));
+  for (int g = 0; g < num_groups; ++g) {
+    for (int l = 0; l < num_layers_; ++l) {
+      if (dedup_layer_[static_cast<size_t>(l)] == l) {
+        cells.emplace_back(l, g);
       }
     }
-    ParallelFor(pool_, static_cast<int64_t>(cells.size()), [&](int64_t i) {
-      const auto& [layer, group] = cells[static_cast<size_t>(i)];
-      EnsureGroup(layer, group);
-    });
-    sweep_wall_seconds_ = NowSeconds() - sweep_start;
-    profiling_seconds_at_sweep_end_ = profiling_seconds();
+  }
+  ParallelFor(pool, static_cast<int64_t>(cells.size()), [&](int64_t i) {
+    const auto& [layer, group] = cells[static_cast<size_t>(i)];
+    SolveGroup(layer, group,
+               &layer_cache_[static_cast<size_t>(layer)][static_cast<size_t>(group)]);
+  });
+  for (const auto& [layer, group] : cells) {
+    const GroupCell& cell = layer_cache_[static_cast<size_t>(layer)][static_cast<size_t>(group)];
+    num_ilp_solves_ += cell.solves;
+    cache_hits_ += cell.hits;
+    cache_misses_ += cell.misses;
+    profiling_seconds_ += cell.seconds;
   }
 }
 
-double StageProfiler::profiling_wall_seconds() const {
-  if (sweep_wall_seconds_ == 0.0) {
-    return profiling_seconds();
-  }
-  return sweep_wall_seconds_ + (profiling_seconds() - profiling_seconds_at_sweep_end_);
-}
-
-void StageProfiler::AddProfilingSeconds(double seconds) {
-  double current = profiling_seconds_.load(std::memory_order_relaxed);
-  while (!profiling_seconds_.compare_exchange_weak(current, current + seconds,
-                                                   std::memory_order_relaxed)) {
-  }
-}
-
-void StageProfiler::EnsureGroup(int canonical, int group) {
-  GroupCell& cell = layer_cache_[static_cast<size_t>(canonical)][static_cast<size_t>(group)];
-  std::call_once(cell.once, [&] { SolveGroup(canonical, group, &cell); });
-}
-
-void StageProfiler::EnsureLayer(int layer, int variant_index) {
-  EnsureGroup(dedup_layer_[static_cast<size_t>(layer)],
-              variant_index / static_cast<int>(modes_.size()));
-}
-
-const IntraOpResult& StageProfiler::CellResult(int layer, int variant_index) const {
+const IntraOpResult& StageProfiler::LayerResult(int layer, int variant_index) const {
   const int canonical = dedup_layer_[static_cast<size_t>(layer)];
   const size_t num_modes = modes_.size();
   const size_t v = static_cast<size_t>(variant_index);
   return layer_cache_[static_cast<size_t>(canonical)][v / num_modes].results[v % num_modes];
 }
 
-void StageProfiler::SolveGroup(int canonical, int group, GroupCell* cell) {
+void StageProfiler::SolveGroup(int canonical, int group, GroupCell* cell) const {
   const double start = NowSeconds();
   const size_t num_modes = modes_.size();
   const size_t first = static_cast<size_t>(group) * num_modes;
@@ -213,7 +181,7 @@ void StageProfiler::SolveGroup(int canonical, int group, GroupCell* cell) {
                                       layer_hashes_[static_cast<size_t>(canonical)], &keys[m]);
     if (cacheable[m]) {
       hit[m] = IlpMemoCache::Global().Lookup(keys[m], &cell->results[m]) ? 1 : 0;
-      (hit[m] ? cache_hits_ : cache_misses_).fetch_add(1, std::memory_order_relaxed);
+      ++(hit[m] ? cell->hits : cell->misses);
     }
     all_hit = all_hit && hit[m];
   }
@@ -229,7 +197,7 @@ void StageProfiler::SolveGroup(int canonical, int group, GroupCell* cell) {
       TraceSpan span("ilp_solve");
       solve_span(span, m);
     }
-    AddProfilingSeconds(NowSeconds() - start);
+    cell->seconds = NowSeconds() - start;
     return;
   }
 
@@ -261,16 +229,16 @@ void StageProfiler::SolveGroup(int canonical, int group, GroupCell* cell) {
       continue;
     }
     cell->results[m] = SolveIntraOpProblem(subgraph.graph, mesh, problem, options_.intra);
-    num_ilp_solves_.fetch_add(1, std::memory_order_relaxed);
+    ++cell->solves;
     solves_metric->Add(1);
     if (cacheable[m]) {
       IlpMemoCache::Global().Insert(keys[m], cell->results[m]);
     }
   }
-  AddProfilingSeconds(NowSeconds() - start);
+  cell->seconds = NowSeconds() - start;
 }
 
-StageProfile StageProfiler::Profile(int begin, int end, int variant_index) {
+StageProfile StageProfiler::Profile(int begin, int end, int variant_index) const {
   ALPA_CHECK_GE(begin, 0);
   ALPA_CHECK_LE(end, num_layers_ - 1);
   ALPA_CHECK_LE(begin, end);
@@ -278,8 +246,7 @@ StageProfile StageProfiler::Profile(int begin, int end, int variant_index) {
   StageProfile profile;
   profile.t_intra = 0.0;
   for (int l = begin; l <= end; ++l) {
-    EnsureLayer(l, variant_index);
-    const IntraOpResult& result = CellResult(l, variant_index);
+    const IntraOpResult& result = LayerResult(l, variant_index);
     if (!result.feasible) {
       return StageProfile{};
     }
@@ -290,11 +257,6 @@ StageProfile StageProfiler::Profile(int begin, int end, int variant_index) {
     profile.work_bytes = std::max(profile.work_bytes, result.work_bytes);
   }
   return profile;
-}
-
-const IntraOpResult& StageProfiler::LayerResult(int layer, int variant_index) {
-  EnsureLayer(layer, variant_index);
-  return CellResult(layer, variant_index);
 }
 
 const StageSubgraph& StageProfiler::LayerSubgraph(int layer) const {

@@ -14,24 +14,24 @@
 // The stage DP iterates over the expanded variant space, which lets it
 // trade execution time for memory (ZeRO-style sharding variants) per stage.
 //
-// Concurrency: the profiler is safe to call from multiple threads. Each
-// dedup-canonical (layer, mesh group) cell is guarded by a std::once_flag,
-// so an eager parallel sweep (run in the constructor when a ThreadPool is
-// supplied) and on-demand Profile()/LayerResult() calls never race and
-// never build or solve a cell twice. Solve results are independent of
-// thread count and arrival order — the ILP solver is deterministic — so
-// parallel and serial compilation produce bit-identical profiles. Solves
-// are further memoized per variant, process-wide, in IlpMemoCache so
-// structurally identical layers across profiler instances (benchmark
-// sweeps, repeated compilations) reuse each other's work; a cell builds
-// its problem only when some mode misses that cache.
+// Concurrency: the constructor solves every dedup-canonical (layer, mesh
+// group) cell up front — across a ThreadPool's workers when one is given,
+// inline otherwise — and the profiler is read-only afterwards, so Profile()
+// and LayerResult() are const and safe to call from any thread. The stage
+// DP reads every cell (each single-layer interval on each variant), so
+// solving the whole grid first does exactly the work the DP would ask for.
+// Solve results are independent of thread count and solve order — the ILP
+// solver is deterministic — so parallel and serial compilation produce
+// bit-identical profiles. Solves are further memoized per variant,
+// process-wide, in IlpMemoCache so structurally identical layers across
+// profiler instances (benchmark sweeps, repeated compilations) reuse each
+// other's work; a cell builds its problem only when some mode misses that
+// cache.
 #ifndef SRC_INTER_STAGE_PROFILER_H_
 #define SRC_INTER_STAGE_PROFILER_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -82,23 +82,22 @@ struct StageVariant {
 
 class StageProfiler {
  public:
-  // When `pool` is non-null (and has >1 thread), the constructor eagerly
-  // pre-solves the full dedup-canonical (layer x mesh group) grid across
-  // the pool's workers, one task per cell; later Profile() calls then only
-  // compose cached per-layer results. With a null pool, cells solve lazily
-  // on demand, all modes of a mesh at its first use.
+  // Solves the full dedup-canonical (layer x mesh group) grid before
+  // returning: one ParallelFor iteration per cell, on `pool` when it is
+  // non-null (and has >1 thread), inline otherwise. Profile() calls then
+  // only compose the stored per-layer results.
   StageProfiler(const Graph& graph, const ClusterSpec& cluster,
                 const std::vector<SubmeshShape>& shapes, StageProfilerOptions options,
                 ThreadPool* pool = nullptr);
 
   // Profile of layers [begin, end] (inclusive) under variant
-  // `variant_index`. Thread-safe.
-  StageProfile Profile(int begin, int end, int variant_index);
+  // `variant_index`.
+  StageProfile Profile(int begin, int end, int variant_index) const;
 
   // Per-layer intra-op solution of a variant (plan reporting / final stage
   // compilation). Infeasible result if the variant cannot run the layer.
-  // Thread-safe; the reference stays valid for the profiler's lifetime.
-  const IntraOpResult& LayerResult(int layer, int variant_index);
+  // The reference stays valid for the profiler's lifetime.
+  const IntraOpResult& LayerResult(int layer, int variant_index) const;
   const StageSubgraph& LayerSubgraph(int layer) const;
 
   const std::vector<StageVariant>& variants() const { return variants_; }
@@ -106,40 +105,28 @@ class StageProfiler {
   const std::vector<SubmeshShape>& dp_shapes() const { return dp_shapes_; }
   int num_layers() const { return num_layers_; }
   // ILP solves actually run by this instance (memo-cache hits excluded).
-  int64_t num_ilp_solves() const { return num_ilp_solves_.load(std::memory_order_relaxed); }
-  // Cumulative solve time summed across all threads. Under a pool this
-  // exceeds the elapsed wall time; see profiling_wall_seconds().
-  double profiling_seconds() const { return profiling_seconds_.load(std::memory_order_relaxed); }
-  // Elapsed wall time attributable to profiling: the eager sweep's wall
-  // time plus any serial post-sweep solves (equals profiling_seconds()
-  // when no sweep ran).
-  double profiling_wall_seconds() const;
-  // Wall time of the constructor's eager sweep (0 without a pool).
-  double sweep_wall_seconds() const { return sweep_wall_seconds_; }
+  int64_t num_ilp_solves() const { return num_ilp_solves_; }
+  // Solve time summed over cells; under a pool this exceeds the elapsed
+  // wall time of the constructor.
+  double profiling_seconds() const { return profiling_seconds_; }
   // Process-wide memo cache traffic from this instance.
-  int64_t cache_hits() const { return cache_hits_.load(std::memory_order_relaxed); }
-  int64_t cache_misses() const { return cache_misses_.load(std::memory_order_relaxed); }
+  int64_t cache_hits() const { return cache_hits_; }
+  int64_t cache_misses() const { return cache_misses_; }
 
  private:
   // One dedup-canonical (layer, mesh group) slot: one build, one result
-  // per memory mode. call_once makes concurrent eager and on-demand access
-  // race-free; once_flag is immovable, so rows are built in place and never
-  // resized after construction.
+  // per memory mode, and the cell's share of the profiler's counters
+  // (summed in cell order once the grid is solved).
   struct GroupCell {
-    std::once_flag once;
     std::vector<IntraOpResult> results;  // Indexed like modes_.
+    int64_t solves = 0;
+    int64_t hits = 0;
+    int64_t misses = 0;
+    double seconds = 0.0;
   };
 
-  // Runs the group's build and solves exactly once.
-  void EnsureGroup(int canonical, int group);
-  // EnsureGroup for the group of `variant_index`, redirecting `layer`
-  // through the structural dedup first.
-  void EnsureLayer(int layer, int variant_index);
-  void SolveGroup(int canonical, int group, GroupCell* cell);
-  const IntraOpResult& CellResult(int layer, int variant_index) const;
-  void AddProfilingSeconds(double seconds);
+  void SolveGroup(int canonical, int group, GroupCell* cell) const;
 
-  const Graph& graph_;
   const ClusterSpec& cluster_;
   std::vector<MemoryMode> modes_;  // Of every mesh group, time-optimal first.
   std::vector<StageVariant> variants_;
@@ -147,16 +134,13 @@ class StageProfiler {
   std::vector<int> dedup_layer_;  // layer -> first structurally equal layer.
   std::vector<uint64_t> layer_hashes_;  // StructuralHash per layer subgraph.
   StageProfilerOptions options_;
-  ThreadPool* pool_ = nullptr;
   int num_layers_ = 0;
   std::vector<StageSubgraph> layer_subgraphs_;
   std::vector<std::vector<GroupCell>> layer_cache_;  // [canonical layer][mesh group]
-  std::atomic<int64_t> num_ilp_solves_{0};
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> cache_misses_{0};
-  std::atomic<double> profiling_seconds_{0.0};
-  double sweep_wall_seconds_ = 0.0;
-  double profiling_seconds_at_sweep_end_ = 0.0;
+  int64_t num_ilp_solves_ = 0;
+  int64_t cache_hits_ = 0;
+  int64_t cache_misses_ = 0;
+  double profiling_seconds_ = 0.0;
 };
 
 }  // namespace alpa

@@ -89,6 +89,18 @@ bool ParseEntryName(const std::string& name, PlanCacheKey* key) {
   return true;
 }
 
+// True when a follower can wait `deadline_seconds` on the steady clock.
+// Its time points are int64 nanoseconds, so a wait past what the clock can
+// still count from now would overflow into an immediate timeout; such a
+// deadline cannot expire and counts as none. The second of slack absorbs
+// the rounding of the conversion.
+bool WaitableDeadline(double deadline_seconds) {
+  using Clock = std::chrono::steady_clock;
+  const double range =
+      std::chrono::duration<double>(Clock::time_point::max() - Clock::now()).count();
+  return deadline_seconds > 0 && deadline_seconds < range - 1.0;
+}
+
 }  // namespace
 
 PlanCache& PlanCache::Global() {
@@ -368,7 +380,7 @@ FlightOutcome PlanCache::JoinFlight(const PlanCacheKey& key, ParallelPlan* plan,
     followers->Add(1);
   }
   std::unique_lock<std::mutex> lock(flight->mu);
-  if (deadline_seconds > 0) {
+  if (WaitableDeadline(deadline_seconds)) {
     // A follower with a short deadline must not inherit the leader's
     // compile time: fail fast on expiry. The flight stays registered —
     // the leader and any patient followers are unaffected.

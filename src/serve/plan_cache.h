@@ -118,9 +118,10 @@ class PlanCache {
   // in-flight compile for `key`. kHit fills *plan; kFailed fills *status;
   // kLeader obliges the caller to call FinishFlight(key, ...) exactly once
   // (on every path, or followers block forever). A follower waits at most
-  // `deadline_seconds` (0 = forever) for the leader: on expiry it returns
-  // kFailed with kDeadlineExceeded, leaving the flight intact for the
-  // followers that can still afford to wait.
+  // `deadline_seconds` for the leader (0, or a wait past the steady clock's
+  // range, = forever): on expiry it returns kFailed with kDeadlineExceeded,
+  // leaving the flight intact for the followers that can still afford to
+  // wait.
   FlightOutcome JoinFlight(const PlanCacheKey& key, ParallelPlan* plan, Status* status,
                            double deadline_seconds = 0.0);
   // Publishes the leader's result: Insert + wake followers on success,

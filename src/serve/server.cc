@@ -203,9 +203,11 @@ void PlanServer::ConnectionLoop(int fd) {
 
 std::shared_ptr<PlanServer::Job> PlanServer::Admit(ServeRequest request) {
   auto job = std::make_shared<Job>();
-  job->deadline_seconds = request.options.deadline_seconds > 0
-                              ? request.options.deadline_seconds
-                              : options_.default_deadline_seconds;
+  // Only an unset deadline takes the daemon default: a NaN, negative or
+  // infinite one stays as sent, so ToParallelizeOptions rejects it.
+  job->deadline_seconds = request.options.deadline_seconds == 0
+                              ? options_.default_deadline_seconds
+                              : request.options.deadline_seconds;
   job->request = std::move(request);
   job->enqueue_time = NowSeconds();
   {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/support/logging.h"
-#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 
 namespace alpa {
@@ -69,29 +68,18 @@ StageDpResult SolveStageDp(int num_layers, int num_microbatches, const ClusterSp
     return p.t_intra + p.t_per_iteration / static_cast<double>(num_microbatches) +
            1e-18 * (p.weight_bytes + p.act_bytes_per_microbatch);
   };
-  // Fill the profile table, optionally fanning rows out across the pool.
-  // Each task writes a disjoint slice of `profiles`, so no synchronization
-  // is needed beyond the ParallelFor join.
+  // Fill the profile table and collect the t_max candidates in one pass.
+  std::vector<double> tmax_candidates;
   {
     TraceSpan precompute_span("dp_profile_precompute");
-    ParallelFor(options.pool, num_layers, [&](int64_t begin) {
-      for (int end = static_cast<int>(begin); end < num_layers; ++end) {
+    for (int begin = 0; begin < num_layers; ++begin) {
+      for (int end = begin; end < num_layers; ++end) {
         for (int shape = 0; shape < num_shapes; ++shape) {
-          profiles[profile_index(static_cast<int>(begin), end, shape)] =
-              profile(static_cast<int>(begin), end, shape);
-        }
-      }
-    });
-  }
-  // Candidates are collected serially in index order so the t_max
-  // enumeration is byte-identical to a serial build.
-  std::vector<double> tmax_candidates;
-  for (int begin = 0; begin < num_layers; ++begin) {
-    for (int end = begin; end < num_layers; ++end) {
-      for (int shape = 0; shape < num_shapes; ++shape) {
-        const StageProfile& p = profiles[profile_index(begin, end, shape)];
-        if (std::isfinite(p.t_intra)) {
-          tmax_candidates.push_back(effective(p));
+          const StageProfile& p = profiles[profile_index(begin, end, shape)] =
+              profile(begin, end, shape);
+          if (std::isfinite(p.t_intra)) {
+            tmax_candidates.push_back(effective(p));
+          }
         }
       }
     }

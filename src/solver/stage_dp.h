@@ -20,8 +20,6 @@
 
 namespace alpa {
 
-class ThreadPool;
-
 // Cost and memory profile of executing layers [begin, end] on a submesh
 // shape (already minimized over logical mesh shapes and intra-op plans by
 // the caller). All byte quantities are per device.
@@ -53,12 +51,6 @@ struct StageDpOptions {
   // With subsampling the B*epsilon optimality bound of 5.2 widens to the
   // candidate spacing; 64 candidates keep the gap under 2% in practice.
   int max_tmax_candidates = 64;
-  // When non-null, the (begin, end, shape) profile precompute fans out
-  // across this pool, one task per `begin` row. `profile` must then be
-  // thread-safe. The DP itself stays serial; candidate collection happens
-  // after the parallel fill in deterministic index order, so results are
-  // identical to a serial run.
-  ThreadPool* pool = nullptr;
 };
 
 struct StageDpResult {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
+#include <memory>
 
 #include "src/support/logging.h"
 #include "src/support/strings.h"
@@ -11,22 +11,13 @@
 
 namespace alpa {
 
-namespace {
-
-// Identity of the current thread inside its pool, for the Submit fast path
-// (nested work goes onto the submitting worker's own deque).
-thread_local const ThreadPool* tls_pool = nullptr;
-thread_local int tls_worker_index = -1;
-
-}  // namespace
-
 struct ThreadPool::LoopState {
   std::atomic<int64_t> next{0};
-  std::atomic<int64_t> done{0};
   int64_t n = 0;
   const std::function<void(int64_t)>* fn = nullptr;
   std::mutex mu;
   std::condition_variable finished;
+  int64_t done = 0;          // Iterations finished or cancelled; guarded by mu.
   std::exception_ptr error;  // First failure; guarded by mu.
 
   // Claims and runs iterations until the counter is exhausted.
@@ -36,27 +27,21 @@ struct ThreadPool::LoopState {
       if (i >= n) {
         return;
       }
+      std::exception_ptr failure;
       try {
         (*fn)(i);
       } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!error) {
-            error = std::current_exception();
-          }
-        }
-        // Cancel the unclaimed remainder; in-flight iterations still count
-        // down through `done` so the caller's wait stays exact.
-        int64_t expected = next.load(std::memory_order_relaxed);
-        while (expected < n && !next.compare_exchange_weak(expected, n)) {
-        }
-        const int64_t cancelled = n - std::min<int64_t>(n, std::max<int64_t>(i + 1, expected));
-        if (cancelled > 0 && done.fetch_add(cancelled) + cancelled == n) {
-          finished.notify_all();
-        }
+        failure = std::current_exception();
       }
-      if (done.fetch_add(1) + 1 == n) {
-        std::lock_guard<std::mutex> lock(mu);
+      // A failure cancels the unclaimed remainder by claiming it all at
+      // once; it counts as done, so the caller's wait stays exact.
+      const int64_t cancelled = failure ? std::max<int64_t>(0, n - next.exchange(n)) : 0;
+      std::lock_guard<std::mutex> lock(mu);
+      if (failure && !error) {
+        error = failure;
+      }
+      done += 1 + cancelled;
+      if (done == n) {
         finished.notify_all();
       }
     }
@@ -65,7 +50,6 @@ struct ThreadPool::LoopState {
 
 ThreadPool::ThreadPool(int num_threads) {
   ALPA_CHECK_GE(num_threads, 1);
-  queues_.resize(static_cast<size_t>(num_threads) + 1);
   workers_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { WorkerMain(i); });
@@ -83,12 +67,10 @@ ThreadPool::~ThreadPool() {
   }
   // Run anything still queued (fire-and-forget Submit stragglers) so no
   // submitted task is silently dropped.
-  for (auto& queue : queues_) {
-    while (!queue.empty()) {
-      auto fn = std::move(queue.front());
-      queue.pop_front();
-      fn();
-    }
+  while (!queue_.empty()) {
+    auto fn = std::move(queue_.front());
+    queue_.pop_front();
+    fn();
   }
 }
 
@@ -97,83 +79,35 @@ int ThreadPool::DefaultThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-void ThreadPool::Push(int self, std::function<void()> fn) {
-  const size_t queue = self >= 0 ? static_cast<size_t>(self) : queues_.size() - 1;
+void ThreadPool::Submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queues_[queue].push_back(std::move(fn));
+    queue_.push_back(std::move(fn));
     if (Trace::enabled()) {
-      size_t depth = 0;
-      for (const auto& q : queues_) {
-        depth += q.size();
-      }
       static Metric* depth_metric = Metrics::Get("thread_pool/queue_depth");
-      depth_metric->Set(static_cast<int64_t>(depth));
+      depth_metric->Set(static_cast<int64_t>(queue_.size()));
     }
   }
   wake_.notify_one();
 }
 
-void ThreadPool::Submit(std::function<void()> fn) {
-  Push(tls_pool == this ? tls_worker_index : -1, std::move(fn));
-}
-
-bool ThreadPool::RunOneTask(int self) {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const size_t own = self >= 0 ? static_cast<size_t>(self) : queues_.size() - 1;
-    if (!queues_[own].empty()) {
-      // Own deque: newest first, the classic work-stealing locality choice.
-      task = std::move(queues_[own].back());
-      queues_[own].pop_back();
-    } else {
-      // Steal: scan the other deques (overflow queue included) oldest
-      // first, starting after our own slot so victims rotate.
-      for (size_t k = 1; k < queues_.size() && !task; ++k) {
-        auto& victim = queues_[(own + k) % queues_.size()];
-        if (!victim.empty()) {
-          task = std::move(victim.front());
-          victim.pop_front();
-        }
+void ThreadPool::WorkerMain(int index) {
+  Trace::SetThreadName(StrFormat("pool worker %d", index));
+  while (true) {
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (stop_) {
+        return;
       }
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-  }
-  if (!task) {
-    return false;
-  }
-  {
     // Category "pool": pool-task spans exist only when workers run, so the
     // "compile"-category span set stays thread-count invariant.
     TraceSpan span("pool_task", "pool");
     task();
-  }
-  return true;
-}
-
-void ThreadPool::WorkerMain(int index) {
-  tls_pool = this;
-  tls_worker_index = index;
-  Trace::SetThreadName(StrFormat("pool worker %d", index));
-  while (true) {
-    if (RunOneTask(index)) {
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    wake_.wait(lock, [this] {
-      if (stop_) {
-        return true;
-      }
-      for (const auto& queue : queues_) {
-        if (!queue.empty()) {
-          return true;
-        }
-      }
-      return false;
-    });
-    if (stop_) {
-      return;
-    }
   }
 }
 
@@ -194,22 +128,12 @@ void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) 
   for (int64_t t = 0; t < helpers; ++t) {
     Submit([state] { state->Drain(); });
   }
-  // The caller participates too...
+  // The caller participates too, then waits for the iterations still
+  // running elsewhere. After done == n no task will ever dereference `fn`
+  // again (late helpers see an exhausted counter), so returning is safe.
   state->Drain();
-  // ...then helps with other queued work (possibly nested loops spawned by
-  // our own iterations) until every iteration has finished.
-  const int self = tls_pool == this ? tls_worker_index : -1;
-  while (state->done.load() < n) {
-    if (RunOneTask(self)) {
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->finished.wait_for(lock, std::chrono::milliseconds(1),
-                             [&] { return state->done.load() >= n; });
-  }
-  // After done == n no task will ever dereference `fn` again (stale tasks
-  // see an exhausted counter), so returning is safe.
-  std::lock_guard<std::mutex> lock(state->mu);
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->finished.wait(lock, [&] { return state->done == n; });
   if (state->error) {
     std::rethrow_exception(state->error);
   }

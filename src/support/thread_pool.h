@@ -1,15 +1,14 @@
-// Work-stealing thread pool for the parallel compilation pipeline.
+// Thread pool for the parallel compilation pipeline.
 //
-// The stage-mesh profiling grid, the stage-DP profile precomputation, and
-// the baseline plan enumerations all consist of many independent,
-// millisecond-scale units of work (one intra-op ILP solve each). This pool
-// runs them across a fixed set of worker threads: each worker owns a deque
-// it pushes nested work onto (LIFO, cache-friendly) and steals from the
-// other workers (FIFO, oldest first) when its own deque drains. Callers of
-// ParallelFor participate in the loop themselves and help execute pool
-// tasks while waiting, so nested submission from inside a task can never
-// deadlock: a waiting thread either makes progress on someone's task or
-// blocks only on work already running on another thread.
+// The stage profiler's (layer x mesh) grid consists of many independent,
+// millisecond-scale units of work (one intra-op ILP build and its solves
+// each). This pool runs them across a fixed set of worker threads that
+// take tasks from one shared FIFO queue. A ParallelFor caller claims
+// iterations itself until the loop's counter runs out, then blocks until
+// the iterations other threads are still running finish. Nested
+// submission from inside a task cannot deadlock: a waiting caller has
+// already claimed every iteration of its loop, so it waits only for work
+// running on other threads, never for queued work to be picked up.
 #ifndef SRC_SUPPORT_THREAD_POOL_H_
 #define SRC_SUPPORT_THREAD_POOL_H_
 
@@ -28,6 +27,8 @@ class ThreadPool {
   // Spawns `num_threads` workers (>= 1). Compilation passes keep the pool
   // nullable and fall back to serial loops; see ParallelFor below.
   explicit ThreadPool(int num_threads);
+  // Joins the workers, then runs any task still queued on the calling
+  // thread, so no submitted task is dropped.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -35,9 +36,8 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  // Enqueues `fn` for execution. Safe to call from worker threads (the task
-  // goes onto the submitting worker's own deque). Fire-and-forget: use
-  // ParallelFor when completion must be awaited.
+  // Enqueues `fn` for execution. Safe to call from worker threads.
+  // Fire-and-forget: use ParallelFor when completion must be awaited.
   void Submit(std::function<void()> fn);
 
   // Runs fn(i) for every i in [0, n). Iterations are claimed from a shared
@@ -56,24 +56,17 @@ class ThreadPool {
   struct LoopState;
 
   void WorkerMain(int index);
-  // Executes one queued task if any is available; returns false when every
-  // deque is empty. `self` is the calling worker's index or -1.
-  bool RunOneTask(int self);
-  void Push(int self, std::function<void()> fn);
 
   std::vector<std::thread> workers_;
-  // One deque per worker plus one overflow deque (index = num_threads) for
-  // submissions from non-pool threads. Workers pop their own back and steal
-  // others' fronts.
-  std::vector<std::deque<std::function<void()>>> queues_;
-  std::mutex mu_;                 // Guards queues_ and stop_.
+  std::deque<std::function<void()>> queue_;
+  std::mutex mu_;                 // Guards queue_ and stop_.
   std::condition_variable wake_;  // Signaled on push and on stop.
   bool stop_ = false;
 };
 
-// Serial-fallback helper used throughout the compilation passes: runs the
-// loop on `pool` when one is available, inline otherwise. Keeps call sites
-// free of threading conditionals.
+// Serial-fallback helper: runs the loop on `pool` when one with more than
+// one worker is available, inline otherwise. Keeps call sites free of
+// threading conditionals.
 void ParallelFor(ThreadPool* pool, int64_t n, const std::function<void(int64_t)>& fn);
 
 }  // namespace alpa

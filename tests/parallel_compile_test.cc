@@ -96,6 +96,34 @@ TEST(ParallelCompile, EqualLayerSearchIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(PlanEquals(serial, parallel));
 }
 
+// The constructor solves the whole (layer x mesh) grid, pool or not: the
+// profiler is read-only afterwards, so no Profile call solves anything.
+TEST(ParallelCompile, ProfilerSolvesTheWholeGridUpFront) {
+  IlpMemoCache::Global().Clear();
+  Graph graph = BuildGpt(SmallGpt());
+  const ClusterSpec cluster = ClusterSpec::AwsP3(1, 2);
+  StageProfilerOptions options;
+  options.intra.solver.max_search_nodes = 20'000;
+  StageProfiler profiler(graph, cluster, EnumerateSubmeshShapes(cluster), options,
+                         /*pool=*/nullptr);
+  const int64_t solves = profiler.num_ilp_solves();
+  EXPECT_GT(solves, 0);
+  EXPECT_EQ(profiler.cache_misses(), solves);
+  EXPECT_EQ(profiler.cache_hits(), 0);
+
+  const int num_variants = static_cast<int>(profiler.variants().size());
+  for (int begin = 0; begin < profiler.num_layers(); ++begin) {
+    for (int end = begin; end < profiler.num_layers(); ++end) {
+      for (int v = 0; v < num_variants; ++v) {
+        profiler.Profile(begin, end, v);
+      }
+    }
+  }
+  EXPECT_EQ(profiler.num_ilp_solves(), solves);
+  EXPECT_EQ(profiler.cache_misses(), solves);
+  EXPECT_EQ(profiler.cache_hits(), 0);
+}
+
 TEST(ParallelCompile, MemoCacheServesSecondProfiler) {
   IlpMemoCache::Global().Clear();
   Graph graph = BuildGpt(SmallGpt());

@@ -404,22 +404,29 @@ TEST_F(PlanCacheTest, FollowerDeadlineExpiresWithoutKillingTheFlight) {
   EXPECT_EQ(expired, FlightOutcome::kFailed);
   EXPECT_EQ(follower_status.code(), StatusCode::kDeadlineExceeded);
 
-  // The flight survived the expiry: a patient follower still rides it to
-  // the leader's result instead of electing a duplicate leader.
+  // The flight survived the expiry: patient followers still ride it to
+  // the leader's result instead of electing a duplicate leader. A deadline
+  // too long for the steady clock to count is as patient as none.
   const int64_t followers_before = Metrics::Value("plan_cache/flight_followers");
-  std::thread patient([&key] {
-    ParallelPlan patient_plan;
-    Status patient_status = Status::Ok();
-    const FlightOutcome outcome = PlanCache::Global().JoinFlight(
-        key, &patient_plan, &patient_status, /*deadline_seconds=*/0.0);
-    EXPECT_EQ(outcome, FlightOutcome::kFailed);
-    EXPECT_EQ(patient_status.code(), StatusCode::kInfeasible);
-  });
-  while (Metrics::Value("plan_cache/flight_followers") <= followers_before) {
+  std::vector<std::thread> patient;
+  for (const double deadline : {0.0, 1e300}) {
+    patient.emplace_back([&key, deadline] {
+      ParallelPlan patient_plan;
+      Status patient_status = Status::Ok();
+      const FlightOutcome outcome =
+          PlanCache::Global().JoinFlight(key, &patient_plan, &patient_status, deadline);
+      EXPECT_EQ(outcome, FlightOutcome::kFailed) << deadline;
+      EXPECT_EQ(patient_status.code(), StatusCode::kInfeasible)
+          << deadline << ": " << patient_status.ToString();
+    });
+  }
+  while (Metrics::Value("plan_cache/flight_followers") < followers_before + 2) {
     std::this_thread::yield();
   }
   PlanCache::Global().FinishFlight(key, Status::Infeasible("no plan"));
-  patient.join();
+  for (std::thread& follower : patient) {
+    follower.join();
+  }
 }
 
 // Entry-count cap: inserting past the cap evicts the least-recently-used

@@ -1,9 +1,10 @@
 // End-to-end tests of the plan server + remote client: a mixed cold/warm
 // concurrent request storm, per-tenant admission control, deadline
-// expiry (including the fail-fast floor), anytime plans under a tight
-// deadline, the results-database endpoints, malformed-bytes and
-// malformed-cluster handling, and warm restarts from the disk cache. These run against a real
-// daemon loop on a real unix socket — the same code path alpa_serve
+// expiry (including the fail-fast floor), malformed deadlines under a
+// daemon default, anytime plans under a tight deadline, the
+// results-database endpoints, malformed-bytes and malformed-cluster
+// handling, and warm restarts from the disk cache. These run against a
+// real daemon loop on a real unix socket — the same code path alpa_serve
 // ships.
 #include <gtest/gtest.h>
 
@@ -397,6 +398,34 @@ TEST_F(ServeTest, NearDeadlineFailsFastBelowBudgetFloor) {
   request.options.deadline_seconds = kMinDeadlineSeconds * 100;
   EXPECT_TRUE(client.Parallelize(request).ok());
   EXPECT_GT(compiles->value(), compiles_before);
+  server.Stop();
+}
+
+// A daemon default deadline fills in only an unset (0) request deadline:
+// a NaN, negative or infinite one reaches the request validation as sent
+// and is rejected before any compile, and the daemon keeps serving.
+TEST_F(ServeTest, MalformedDeadlinesAreRejectedUnderADaemonDefault) {
+  ServerOptions options;
+  options.socket_path = socket_path_;
+  options.default_deadline_seconds = 60.0;
+  PlanServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  RemotePlanService client(socket_path_);
+
+  const int64_t compiles_before = Metrics::Value("serve/compiles");
+  PlanRequest request = MlpRequest(0);
+  for (const double deadline : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                                std::numeric_limits<double>::infinity()}) {
+    request.options.deadline_seconds = deadline;
+    EXPECT_EQ(client.Parallelize(request).status().code(), StatusCode::kInvalidArgument)
+        << deadline;
+  }
+  EXPECT_EQ(Metrics::Value("serve/compiles"), compiles_before);
+
+  request.options.deadline_seconds = 0.0;  // Unset: the 60 s default applies.
+  const StatusOr<ParallelPlan> plan = client.Parallelize(request);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(Metrics::Value("serve/compiles"), compiles_before + 1);
   server.Stop();
 }
 

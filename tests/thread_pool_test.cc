@@ -53,9 +53,10 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
-  // 8 outer x 8 inner iterations on 4 threads: workers reaching the inner
-  // loop's join must help execute queued tasks instead of blocking, or the
-  // pool deadlocks with every worker waiting.
+  // 8 outer x 8 inner iterations on 4 threads: an inner loop's caller must
+  // claim its own loop's iterations before it blocks, so that it waits only
+  // for iterations running on other threads, or the pool deadlocks with
+  // every worker waiting on queued work.
   ThreadPool pool(4);
   std::atomic<int> count{0};
   pool.ParallelFor(8, [&](int64_t) {

@@ -232,8 +232,8 @@ TEST_F(TraceTest, CompileSpanStructureDeterministicAcrossThreadCounts) {
   options.target_layers = 2;
   options.profiler.intra.solver.max_search_nodes = 5'000;
 
-  // Multiset of compile-category span kinds. Pool-category spans
-  // ("pool_task", "profiling_sweep") scale with the thread count by design.
+  // Multiset of compile-category span kinds. The pool-category "pool_task"
+  // spans scale with the thread count by design.
   const auto compile_spans = [] {
     std::map<std::string, int> set;
     for (const TraceEvent& e : Trace::Snapshot()) {

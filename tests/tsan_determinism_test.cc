@@ -1,20 +1,25 @@
 // ThreadSanitizer harness for the parallel compilation pipeline.
 //
-// First runs four concurrent solves of one core on a budget that aborts the
-// search and checks each is bit-identical to a serial solve; the solver's
-// process-wide core memo and the metrics registry are the state they share.
-// Then compiles a tiny GPT serially and with 4 worker threads under
-// -fsanitize=thread (this whole binary, library sources included, is
-// TSan-instrumented by tests/CMakeLists.txt) and checks PlanEquals, once
-// under a reduced search budget and once under a budget that aborts
-// searches. Any data race in the profiler's once_flag cells,
-// the memo cache, the stage DP's parallel precompute, or the pool itself
-// fails the run. Tracing is enabled for the compiles so the recorder's lane
-// buffers, the metrics registry, and the exporter run under TSan too, and
-// the "compile"-category span multiset must be identical across thread
+// First drives the thread pool on its own: a nested ParallelFor writing
+// disjoint slots, an iteration that throws, and Submit stragglers left for
+// the destructor. Then runs four concurrent solves of one core on a budget
+// that aborts the search and checks each is bit-identical to a serial
+// solve; the solver's process-wide core memo and the metrics registry are
+// the state they share. Then compiles a tiny GPT serially and with 4
+// worker threads under -fsanitize=thread (this whole binary, library
+// sources included, is TSan-instrumented by tests/CMakeLists.txt) and
+// checks PlanEquals, once under a reduced search budget and once under a
+// budget that aborts searches. Any data race in the profiler's up-front
+// (layer x mesh) sweep, the memo cache, or the pool itself fails the run.
+// Tracing is enabled for the compiles so the recorder's lane buffers, the
+// metrics registry, and the exporter run under TSan too, and the
+// "compile"-category span multiset must be identical across thread
 // counts. Kept small: TSan slows execution by an order of magnitude.
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,10 +29,88 @@
 #include "src/models/gpt.h"
 #include "src/solver/ilp_solver.h"
 #include "src/support/rng.h"
+#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 #include "tests/ilp_oracle.h"
 
 namespace {
+
+// The pool's three paths: a nested 8x8 ParallelFor on 4 workers writing
+// disjoint slots; an iteration that throws, rethrown once by the caller,
+// after which the pool still runs loops; and Submit stragglers queued
+// behind blocked workers, which the destructor runs on its own thread.
+// Returns false on any failure.
+bool CheckPool() {
+  std::vector<int> slots(64, 0);
+  std::vector<int> after_throw(16, 0);
+  int rethrown = 0;
+  constexpr int kStragglers = 16;
+  std::atomic<int> stragglers{0};
+  std::atomic<int> run_by_destructor{0};
+  const std::thread::id main_thread = std::this_thread::get_id();
+  std::atomic<bool> release{false};
+  std::thread releaser;
+  {
+    alpa::ThreadPool pool(4);
+    pool.ParallelFor(8, [&](int64_t outer) {
+      pool.ParallelFor(8, [&](int64_t inner) { ++slots[static_cast<size_t>(outer * 8 + inner)]; });
+    });
+    try {
+      pool.ParallelFor(100, [](int64_t i) {
+        if (i == 17) {
+          throw std::runtime_error("iteration 17");
+        }
+      });
+    } catch (const std::runtime_error&) {
+      ++rethrown;
+    }
+    pool.ParallelFor(16, [&](int64_t i) { after_throw[static_cast<size_t>(i)] = 1; });
+
+    // Hold every worker until the destructor has had time to stop the
+    // pool, so the stragglers queued behind them are left to it.
+    for (int w = 0; w < pool.num_threads(); ++w) {
+      pool.Submit([&release] {
+        while (!release.load()) {
+          std::this_thread::yield();
+        }
+      });
+    }
+    for (int i = 0; i < kStragglers; ++i) {
+      pool.Submit([&] {
+        stragglers.fetch_add(1);
+        if (std::this_thread::get_id() == main_thread) {
+          run_by_destructor.fetch_add(1);
+        }
+      });
+    }
+    releaser = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      release.store(true);
+    });
+  }
+  releaser.join();
+  for (int slot : slots) {
+    if (slot != 1) {
+      std::fprintf(stderr, "FAIL: a nested ParallelFor iteration ran %d times\n", slot);
+      return false;
+    }
+  }
+  for (int slot : after_throw) {
+    if (slot != 1) {
+      std::fprintf(stderr, "FAIL: the pool stopped running loops after an exception\n");
+      return false;
+    }
+  }
+  if (rethrown != 1 || stragglers.load() != kStragglers) {
+    std::fprintf(stderr, "FAIL: %d exceptions rethrown, %d of %d stragglers ran\n", rethrown,
+                 stragglers.load(), kStragglers);
+    return false;
+  }
+  std::printf("OK: pool nested loops, exception and stragglers (%d of %d run by the "
+              "destructor)\n",
+              run_by_destructor.load(), kStragglers);
+  return true;
+}
 
 // A dense instance from the flat branch & bound's budget tests. Its proof
 // takes 776 nodes, so a 300-node budget aborts.
@@ -73,9 +156,9 @@ bool CheckSearchRace() {
   return true;
 }
 
-// Multiset of "category/name(args)" for compile-category spans. Pool-category
-// spans ("pool_task", "profiling_sweep") vary with the thread count by
-// design and are excluded.
+// Multiset of "category/name(args)" for compile-category spans. The
+// pool-category "pool_task" spans vary with the thread count by design and
+// are excluded.
 std::map<std::string, int> CompileSpanSet() {
   std::map<std::string, int> set;
   for (const alpa::TraceEvent& e : alpa::Trace::Snapshot()) {
@@ -175,7 +258,7 @@ bool CheckCompile(const alpa::IlpSolverOptions& solver, bool expect_aborts) {
 
 int main() {
   using namespace alpa;
-  if (!CheckSearchRace()) {
+  if (!CheckPool() || !CheckSearchRace()) {
     return 1;
   }
   if (Trace::kCompiledIn) {
