@@ -5,9 +5,13 @@
 // lowering (EvalEinsumPartials) against the scalar odometer reference
 // (EvalEinsumPartialsReference); the reference runs on a row slice of the
 // output and is scaled by the slice's share of the FLOPs, since the scalar
-// loop at full size would dominate the benchmark by minutes. Part 2 really
-// executes a compiled GPT pipeline and reports wall-clock plus the arena
-// planner's per-device memory numbers next to the measured runtime peak.
+// loop at full size would dominate the benchmark by minutes. Each kernel is
+// also reported as a fraction of a single-core GEMM peak measured the way
+// perfbench measures it: the best of four runs each of 256^3 and 512^3
+// square matmuls through the same lowering (64^3 and 128^3 in smoke mode).
+// Part 2 really executes a compiled GPT pipeline and reports wall-clock plus
+// the arena planner's per-device memory numbers next to the measured runtime
+// peak.
 //
 //   exec_speed [--smoke] [--json PATH] [--threads N] [--trace PATH]
 //
@@ -112,16 +116,47 @@ struct KernelResult {
   double checksum_delta = 0.0;
 };
 
-KernelResult TimeMatmul(const MatmulCase& c, bool smoke) {
-  const Operator op = MakeEinsumOp(c);
+std::vector<HostTensor> MakeOperands(const MatmulCase& c) {
   std::vector<HostTensor> storage;
-  std::vector<const HostTensor*> operands;
   for (size_t i = 0; i < c.operand_specs.size(); ++i) {
     storage.push_back(MakeOperand(c.operand_specs[i], c.extents, c.name + std::to_string(i)));
   }
+  return storage;
+}
+
+std::vector<const HostTensor*> Pointers(const std::vector<HostTensor>& storage) {
+  std::vector<const HostTensor*> operands;
   for (const HostTensor& t : storage) {
     operands.push_back(&t);
   }
+  return operands;
+}
+
+// The single-core GEMM peak (GFLOP/s) the kernels are reported against.
+double MeasurePeakGflops(bool smoke) {
+  double peak = 0.0;
+  for (const int64_t n : {int64_t{256}, int64_t{512}}) {
+    const int64_t size = smoke ? n / 4 : n;
+    const MatmulCase square{
+        "peak", "ij", {"ik", "kj"}, {{'i', size}, {'j', size}, {'k', size}}};
+    const Operator op = MakeEinsumOp(square);
+    const std::vector<HostTensor> storage = MakeOperands(square);
+    const std::vector<const HostTensor*> operands = Pointers(storage);
+    const Box full = FullBox(op.shape);
+    std::vector<double> out;
+    for (int r = 0; r < 4; ++r) {
+      const double start = Now();
+      exec::EvalEinsumPartials(op, operands, 0, size, full, &out);
+      peak = std::max(peak, op.einsum.Flops() / (Now() - start) * 1e-9);
+    }
+  }
+  return peak;
+}
+
+KernelResult TimeMatmul(const MatmulCase& c, bool smoke) {
+  const Operator op = MakeEinsumOp(c);
+  const std::vector<HostTensor> storage = MakeOperands(c);
+  const std::vector<const HostTensor*> operands = Pointers(storage);
   const std::string contraction = op.einsum.ContractionLabels();
   const int64_t extent = contraction.empty() ? 1 : op.einsum.Extent(contraction[0]);
   const Box full = FullBox(op.shape);
@@ -161,8 +196,11 @@ KernelResult TimeMatmul(const MatmulCase& c, bool smoke) {
 
 int RunBench(bool smoke, const BenchFlags& flags) {
   JsonReport report("exec_speed");
-  std::printf("%-12s %12s %14s %14s %9s\n", "matmul", "shape", "gemm GFLOP/s",
-              "scalar GFLOP/s", "speedup");
+  const double peak = MeasurePeakGflops(smoke);
+  std::printf("single-core GEMM peak: %.2f GFLOP/s\n\n", peak);
+  report.AddRow().Str("kind", "peak").Bool("smoke", smoke).Num("gflops", peak);
+  std::printf("%-12s %12s %14s %14s %9s %9s\n", "matmul", "shape", "gemm GFLOP/s",
+              "scalar GFLOP/s", "speedup", "of peak");
 
   double fast_sum = 0.0, ref_sum = 0.0;
   int cases = 0;
@@ -173,8 +211,8 @@ int RunBench(bool smoke, const BenchFlags& flags) {
       shape += (shape.empty() ? "" : "x") + std::to_string(ext);
     }
     const double speedup = r.gflops_fast / r.gflops_ref;
-    std::printf("%-12s %12s %14.2f %14.3f %8.1fx\n", c.name.c_str(), shape.c_str(),
-                r.gflops_fast, r.gflops_ref, speedup);
+    std::printf("%-12s %12s %14.2f %14.3f %8.1fx %9.2f\n", c.name.c_str(), shape.c_str(),
+                r.gflops_fast, r.gflops_ref, speedup, r.gflops_fast / peak);
     report.AddRow()
         .Str("kind", "kernel")
         .Str("name", c.name)
@@ -182,6 +220,7 @@ int RunBench(bool smoke, const BenchFlags& flags) {
         .Num("gflops_gemm", r.gflops_fast)
         .Num("gflops_scalar", r.gflops_ref)
         .Num("speedup", speedup)
+        .Num("peak_frac", r.gflops_fast / peak)
         .Num("gemm_seconds", r.fast_seconds)
         .Num("max_abs_delta", r.checksum_delta);
     if (r.checksum_delta != 0.0) {
@@ -194,14 +233,15 @@ int RunBench(bool smoke, const BenchFlags& flags) {
     ++cases;
   }
   const double mean_speedup = (fast_sum / cases) / (ref_sum / cases);
-  std::printf("%-12s %12s %14.2f %14.3f %8.1fx\n", "mean", "", fast_sum / cases,
-              ref_sum / cases, mean_speedup);
+  std::printf("%-12s %12s %14.2f %14.3f %8.1fx %9.2f\n", "mean", "", fast_sum / cases,
+              ref_sum / cases, mean_speedup, fast_sum / cases / peak);
   report.AddRow()
       .Str("kind", "kernel_mean")
       .Bool("smoke", smoke)
       .Num("gflops_gemm", fast_sum / cases)
       .Num("gflops_scalar", ref_sum / cases)
-      .Num("speedup", mean_speedup);
+      .Num("speedup", mean_speedup)
+      .Num("peak_frac", fast_sum / cases / peak);
 
   // --- Real pipelined execution -----------------------------------------
   GptConfig config;

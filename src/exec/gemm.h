@@ -1,52 +1,47 @@
-// Cache-blocked, register-tiled GEMM microkernels for the execution engine.
+// Register-blocked GEMM for the execution engine: f32 operands, f64
+// accumulation, bit-identical to the naive triple loop.
 //
-// Two variants share the same blocking structure (packed column panels of B,
-// small row tiles of A, an auto-vectorizable `#pragma omp simd` inner loop,
-// no OpenMP runtime dependency):
+// Each output cell is one f64 chain `0.0 + p0 + p1 + ...` in ascending k,
+// exactly the reference interpreter's `sum = 0.0; sum += prod`. The product
+// of two f32 values is exact in f64 (24+24 mantissa bits fit in 53), so FMA
+// contraction cannot change a rounding, and the chain is never reassociated:
+// only independent output cells share a vector. Einsum contractions lower
+// onto this kernel without changing a single output bit, which is what lets
+// the executor and the numeric oracle ride on it.
 //
-//  - GemmF64Acc: f32 inputs, f64 accumulation, one accumulator per output
-//    cell that lives across the ENTIRE k loop in ascending-k order. Because
-//    the product of two f32 values is exact in f64 (24+24 mantissa bits fit
-//    in 53) and the per-cell addition chain is never reassociated, the
-//    result is bit-identical to the naive sequential triple loop — and
-//    immune to FMA contraction. This is the kernel the deterministic oracle
-//    rides on: einsum contractions lower onto it without changing a single
-//    output bit.
-//
-//  - SgemmF32: f32 accumulation for raw-speed measurement (bench) and for
-//    callers that do not need the oracle's accumulation-order contract.
-//    Supports transposed operands and leading dimensions.
-//
-// Neither kernel allocates when the caller passes scratch; both fall back to
-// internal buffers otherwise.
+// Blocking (gemm.cc): the k loop runs in KC-deep blocks. Per block, the
+// operands are converted to f64 once, into zero-padded micro-panels read
+// straight through the callers' offset tables, and an MR x NR tile of
+// accumulators stays in vector registers across the block. The first block
+// starts every accumulator at +0.0; later blocks reload the running sum the
+// previous block stored in C, so the per-cell chain is unbroken. The tile
+// and vector width follow the ISA the translation unit is compiled for.
 #ifndef SRC_EXEC_GEMM_H_
 #define SRC_EXEC_GEMM_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace alpa {
 namespace exec {
 
-// Scratch buffers reusable across calls (packing panels). Optional.
-struct GemmScratch {
-  std::vector<float> pack;
+// A float matrix addressed through offset tables: element (r, c) is
+// data[row[r] + col[c]]. Row-major, transposed and einsum-flattened layouts
+// are all just different tables.
+struct GemmOperand {
+  const float* data;
+  const int64_t* row;
+  const int64_t* col;
 };
 
-// C (f64, m x n, row-major, contiguous) += A (f32, m x k, row-major,
-// contiguous) * B (f32, k x n, row-major, contiguous). Each C cell is
-// accumulated in ascending k order with a single f64 accumulator, so the
-// result is bit-identical to
-//   for (i) for (j) for (l) c[i][j] += (double)a[i][l] * (double)b[l][j];
-void GemmF64Acc(int64_t m, int64_t n, int64_t k, const float* a, const float* b, double* c,
-                GemmScratch* scratch = nullptr);
-
-// C (f32, m x n, leading dim ldc) = A * B with float accumulators.
-// trans_a: A is stored k x m (leading dim lda), otherwise m x k.
-// trans_b: B is stored n x k (leading dim ldb), otherwise k x n.
-void SgemmF32(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k, const float* a,
-              int64_t lda, const float* b, int64_t ldb, float* c, int64_t ldc,
-              GemmScratch* scratch = nullptr);
+// C (f64, m x n, row-major, contiguous) = A (m x k) * B (k x n). C's prior
+// contents are ignored: the result is bit-identical to
+//   for (i) for (j) {
+//     double sum = 0.0;
+//     for (l) sum += (double)A(i, l) * (double)B(l, j);
+//     C(i, j) = sum;
+//   }
+void GemmF64Acc(int64_t m, int64_t n, int64_t k, const GemmOperand& a, const GemmOperand& b,
+                double* c);
 
 }  // namespace exec
 }  // namespace alpa

@@ -307,11 +307,11 @@ void EvalUpdate(const Operator& op, const HostTensor& param, const HostTensor& g
 // Classifies each output label by which operands carry it (both: batch,
 // operand 0 only: M, operand 1 only: N), flattens the contraction labels
 // into a single K axis in ContractionLabels() odometer order (first label
-// restricted to [lo, hi)), packs A/B panels through precomputed offset
-// tables, and runs the f64-accumulation GEMM. Because flattened-K ascending
-// IS the reference odometer order and GemmF64Acc keeps one f64 accumulator
-// per cell across all of K, the lowering is bit-identical to the reference
-// loop for every lowerable einsum.
+// restricted to [lo, hi)), and hands the f64-accumulation GEMM one offset
+// table per operand axis. Because flattened-K ascending IS the reference
+// odometer order and GemmF64Acc keeps one unbroken f64 chain per cell across
+// all of K, the lowering is bit-identical to the reference loop for every
+// lowerable einsum.
 bool TryEinsumGemm(const Operator& op, const std::vector<const HostTensor*>& operands,
                    int64_t contraction_lo, int64_t contraction_hi, const Box& box,
                    std::vector<double>* out) {
@@ -470,34 +470,17 @@ bool TryEinsumGemm(const Operator& op, const std::vector<const HostTensor*>& ope
 
   const float* d0 = operands[0]->data();
   const float* d1 = operands[1]->data();
-  // Pack panels and the f64 accumulator live in a per-thread arena: one
-  // aligned slab reused across every einsum the worker evaluates, so the
+  // The kernel packs its panels straight through the offset tables (A's
+  // element (m, kk) at ma[m] + ka[kk], B's (kk, n) at kb[kk] + nb[n]) and
+  // writes its product into an f64 slab in a per-thread arena, so the
   // steady-state hot loop never touches the system allocator.
   thread_local Arena arena;
-  thread_local GemmScratch scratch;
   arena.Reset();
-  float* a_pack = arena.AllocFloats(m_count * k_total);
-  float* b_pack = arena.AllocFloats(k_total * n_count);
   double* c_buf = arena.AllocDoubles(m_count * n_count);
   for (int64_t b = 0; b < b_count; ++b) {
-    const int64_t off0 = b0[static_cast<size_t>(b)];
-    const int64_t off1 = b1[static_cast<size_t>(b)];
-    for (int64_t m = 0; m < m_count; ++m) {
-      const float* src = d0 + off0 + ma[static_cast<size_t>(m)];
-      float* dst = a_pack + m * k_total;
-      for (int64_t kk = 0; kk < k_total; ++kk) {
-        dst[kk] = src[ka[static_cast<size_t>(kk)]];
-      }
-    }
-    for (int64_t kk = 0; kk < k_total; ++kk) {
-      const float* src = d1 + off1 + kb[static_cast<size_t>(kk)];
-      float* dst = b_pack + kk * n_count;
-      for (int64_t n = 0; n < n_count; ++n) {
-        dst[n] = src[nb[static_cast<size_t>(n)]];
-      }
-    }
-    std::fill(c_buf, c_buf + m_count * n_count, 0.0);
-    GemmF64Acc(m_count, n_count, k_total, a_pack, b_pack, c_buf, &scratch);
+    const GemmOperand a{d0 + b0[static_cast<size_t>(b)], ma.data(), ka.data()};
+    const GemmOperand bm{d1 + b1[static_cast<size_t>(b)], kb.data(), nb.data()};
+    GemmF64Acc(m_count, n_count, k_total, a, bm, c_buf);
     double* o = out->data() + bo[static_cast<size_t>(b)];
     for (int64_t m = 0; m < m_count; ++m) {
       const double* crow = c_buf + m * n_count;

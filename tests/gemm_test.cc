@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
-#include <utility>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exec/host_tensor.h"
@@ -20,7 +18,7 @@ namespace exec {
 namespace {
 
 // The contract GemmF64Acc promises bit-identity with: one fresh f64
-// accumulator per output cell, ascending k, added to C once at the end.
+// accumulator per output cell, ascending k, stored over whatever C held.
 void NaiveGemmF64Acc(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
                      double* c) {
   for (int64_t i = 0; i < m; ++i) {
@@ -29,7 +27,7 @@ void NaiveGemmF64Acc(int64_t m, int64_t n, int64_t k, const float* a, const floa
       for (int64_t l = 0; l < k; ++l) {
         acc += static_cast<double>(a[i * k + l]) * static_cast<double>(b[l * n + j]);
       }
-      c[i * n + j] += acc;
+      c[i * n + j] = acc;
     }
   }
 }
@@ -43,36 +41,53 @@ std::vector<float> RandomFloats(const std::string& tag, int64_t count) {
   return data;
 }
 
-// Dimensions that stress every blocking boundary: 1, primes straddling the
-// register tile, the tile sizes themselves, and one-past.
-const int64_t kDims[] = {1, 2, 3, 5, 7, 13, 31, 64, 65};
+std::vector<int64_t> Strided(int64_t count, int64_t stride) {
+  std::vector<int64_t> offsets(static_cast<size_t>(count));
+  for (int64_t i = 0; i < count; ++i) {
+    offsets[static_cast<size_t>(i)] = i * stride;
+  }
+  return offsets;
+}
+
+// C = A * B for row-major A (m x k) and B (k x n).
+void RowMajorGemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b, double* c) {
+  const std::vector<int64_t> a_row = Strided(m, k), a_col = Strided(k, 1);
+  const std::vector<int64_t> b_row = Strided(k, n), b_col = Strided(n, 1);
+  GemmF64Acc(m, n, k, {a, a_row.data(), a_col.data()}, {b, b_row.data(), b_col.data()}, c);
+}
+
+// Every blocking boundary of every ISA's kernel. The tiles are 8 x 16
+// (AVX-512), 6 x 8 (AVX2) and 4 x 4 (SSE2), so m and n take each MR and NR
+// and one either side. k takes KC = 256 and one either side, plus 2 * KC + 1:
+// three blocks, the last one product deep.
+const int64_t kRowsCols[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 15, 16, 17, 31, 64, 65};
+const int64_t kDepths[] = {1, 2, 3, 5, 7, 13, 31, 64, 65, 255, 256, 257, 513};
 
 TEST(GemmF64Acc, BitIdenticalToNaiveTripleLoop) {
-  GemmScratch scratch;
   int checked = 0;
-  for (int64_t m : kDims) {
-    for (int64_t n : kDims) {
-      for (int64_t k : kDims) {
-        // Keep the sweep fast: skip the large-all-three corner.
-        if (m * n * k > 70000) {
+  for (int64_t m : kRowsCols) {
+    for (int64_t n : kRowsCols) {
+      for (int64_t k : kDepths) {
+        // Keep the sweep fast: every tile-sized m and n still meets every k.
+        if (m * n * k > 150000) {
           continue;
         }
         const std::vector<float> a = RandomFloats("a", m * k);
         const std::vector<float> b = RandomFloats("b", k * n);
         std::vector<double> c(static_cast<size_t>(m * n));
         std::vector<double> want(static_cast<size_t>(m * n));
-        // Non-zero starting C exercises the += contract.
+        // Non-zero starting C: the kernel overwrites it, never adds to it.
         for (size_t i = 0; i < c.size(); ++i) {
           c[i] = want[i] = 0.125 * static_cast<double>(i % 17) - 1.0;
         }
-        GemmF64Acc(m, n, k, a.data(), b.data(), c.data(), &scratch);
+        RowMajorGemm(m, n, k, a.data(), b.data(), c.data());
         NaiveGemmF64Acc(m, n, k, a.data(), b.data(), want.data());
         ASSERT_EQ(c, want) << "m=" << m << " n=" << n << " k=" << k;
         ++checked;
       }
     }
   }
-  EXPECT_GT(checked, 500);
+  EXPECT_GT(checked, 2000);
 }
 
 TEST(GemmF64Acc, LargeSquareStillExact) {
@@ -81,53 +96,9 @@ TEST(GemmF64Acc, LargeSquareStillExact) {
   const std::vector<float> b = RandomFloats("lb", k * n);
   std::vector<double> c(static_cast<size_t>(m * n), 0.0);
   std::vector<double> want = c;
-  GemmF64Acc(m, n, k, a.data(), b.data(), c.data());
+  RowMajorGemm(m, n, k, a.data(), b.data(), c.data());
   NaiveGemmF64Acc(m, n, k, a.data(), b.data(), want.data());
   EXPECT_EQ(c, want);
-}
-
-double SgemmRefAt(const std::vector<float>& buf, bool trans, int64_t ld, int64_t row,
-                  int64_t col) {
-  // Logical element (row, col); trans means the storage is (col, row).
-  const int64_t idx = trans ? col * ld + row : row * ld + col;
-  return static_cast<double>(buf[static_cast<size_t>(idx)]);
-}
-
-// SgemmF32 accumulates in f32, so under FMA contraction it is NOT bit-equal
-// to a scalar loop — the contract is layout correctness within a small
-// relative tolerance of the f64 reference.
-TEST(SgemmF32, AllTransposeCombosMatchReferenceWithinTolerance) {
-  for (bool trans_a : {false, true}) {
-    for (bool trans_b : {false, true}) {
-      for (auto [m, n, k] :
-           std::vector<std::array<int64_t, 3>>{{1, 1, 1}, {5, 3, 7}, {17, 13, 31}, {64, 65, 33}}) {
-        // Pad leading dimensions to prove the kernel honours them.
-        const int64_t lda = (trans_a ? m : k) + 3;
-        const int64_t ldb = (trans_b ? k : n) + 2;
-        const int64_t ldc = n + 5;
-        const std::vector<float> a = RandomFloats("sa", (trans_a ? k : m) * lda);
-        const std::vector<float> b = RandomFloats("sb", (trans_b ? n : k) * ldb);
-        std::vector<float> c(static_cast<size_t>(m * ldc), -7.5f);
-        SgemmF32(trans_a, trans_b, m, n, k, a.data(), lda, b.data(), ldb, c.data(), ldc);
-        for (int64_t i = 0; i < m; ++i) {
-          for (int64_t j = 0; j < n; ++j) {
-            double want = 0.0;
-            for (int64_t l = 0; l < k; ++l) {
-              want += SgemmRefAt(a, trans_a, lda, i, l) * SgemmRefAt(b, trans_b, ldb, l, j);
-            }
-            const double got = static_cast<double>(c[static_cast<size_t>(i * ldc + j)]);
-            ASSERT_NEAR(got, want, 1e-4 * (1.0 + std::fabs(want)))
-                << "ta=" << trans_a << " tb=" << trans_b << " m=" << m << " n=" << n
-                << " k=" << k << " i=" << i << " j=" << j;
-          }
-          // Padding columns past n must stay untouched.
-          for (int64_t j = n; j < ldc; ++j) {
-            ASSERT_EQ(c[static_cast<size_t>(i * ldc + j)], -7.5f);
-          }
-        }
-      }
-    }
-  }
 }
 
 // --- Einsum GEMM lowering vs the odometer reference ----------------------
@@ -170,6 +141,8 @@ struct EinsumCase {
   std::string output;
   std::vector<std::string> operand_specs;
   std::map<char, int64_t> extents;
+  // A further contraction range to check, when non-empty.
+  std::pair<int64_t, int64_t> range = {0, 0};
 };
 
 // The sweep covers GEMM-lowerable shapes (plain, batched, transposed
@@ -188,6 +161,10 @@ std::vector<EinsumCase> EinsumCases() {
       {"abc", {"abk", "kc"}, {{'a', 3}, {'b', 4}, {'c', 5}, {'k', 6}}},  // Merged rows.
       {"mn", {"mab", "abn"}, {{'m', 4}, {'n', 3}, {'a', 2}, {'b', 5}}},  // 2-label contraction.
       {"bsh", {"bsk", "kh"}, {{'b', 2}, {'s', 8}, {'h', 16}, {'k', 16}}},  // GPT projection.
+      // Attention scores with k past the kernel's 256-deep blocks; the
+      // extra range [200, 520) straddles block boundaries both in absolute
+      // k and relative to its own start.
+      {"nst", {"nsk", "ntk"}, {{'n', 2}, {'s', 9}, {'t', 17}, {'k', 600}}, {200, 520}},
       {"ab", {"aa", "ab"}, {{'a', 4}, {'b', 3}}},  // Duplicate label: fallback.
       {"m", {"mk"}, {{'m', 5}, {'k', 7}}},         // Single operand: fallback.
   };
@@ -224,6 +201,12 @@ TEST(EinsumGemm, LoweringBitIdenticalToReference) {
         EvalEinsumPartialsReference(op, operands, lo, hi, full, &ref);
         ASSERT_EQ(fast, ref) << c.output << " range [" << lo << "," << hi << ")";
       }
+    }
+    if (c.range.second > c.range.first) {
+      EvalEinsumPartials(op, operands, c.range.first, c.range.second, full, &fast);
+      EvalEinsumPartialsReference(op, operands, c.range.first, c.range.second, full, &ref);
+      ASSERT_EQ(fast, ref) << c.output << " range [" << c.range.first << "," << c.range.second
+                           << ")";
     }
 
     // Interior sub-box (a device tile).

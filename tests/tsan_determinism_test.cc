@@ -15,9 +15,12 @@
 // metrics registry, and the exporter run under TSan too, and the
 // "compile"-category span multiset must be identical across thread
 // counts. Kept small: TSan slows execution by an order of magnitude.
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -238,8 +241,14 @@ bool CheckCompile(const alpa::IlpSolverOptions& solver, bool expect_aborts) {
       }
       return false;
     }
-    // Exercise the exporter under TSan as well.
-    const Status written = Trace::WriteJson("tsan_trace_out.json");
+    // Exercise the exporter under TSan as well, into a scratch file that
+    // leaves no trace in the working directory.
+    const std::filesystem::path trace_path =
+        std::filesystem::temp_directory_path() /
+        ("alpa_tsan_trace_" + std::to_string(::getpid()) + ".json");
+    const Status written = Trace::WriteJson(trace_path.string());
+    std::error_code ignored;
+    std::filesystem::remove(trace_path, ignored);
     if (!written.ok()) {
       std::fprintf(stderr, "FAIL: %s\n", written.ToString().c_str());
       return false;
