@@ -12,11 +12,16 @@
 // Metrics registry, reported as per-run deltas, as do the anytime gap
 // statistics (max/mean relative optimality gap over each run's aborted
 // solves) and the ILP builds next to the solves (one build per layer and
-// mesh serves all of its memory modes).
+// mesh serves all of its memory modes). Each run also reports its heap
+// allocations, counted by this binary's own global operator new, and its
+// core-memo hits.
 //
 // Usage: compile_speed [--threads N] [--json PATH]
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -24,6 +29,24 @@
 #include "src/intra/ilp_cache.h"
 #include "src/models/gpt.h"
 #include "src/support/trace.h"
+
+namespace {
+
+std::atomic<long long> g_heap_allocations{0};
+
+}  // namespace
+
+// Every global allocation of this binary passes here (the array and
+// nothrow forms forward to it), so a run's delta is its allocation count.
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -48,10 +71,14 @@ struct PresolveSnapshot {
   long long build_micros = 0;
   long long enum_micros = 0;
   long long edge_micros = 0;
+  long long core_memo_hits = 0;
+  long long heap_allocations = 0;
 
   static PresolveSnapshot Take() {
     using alpa::Metrics;
     PresolveSnapshot s;
+    s.heap_allocations = g_heap_allocations.load(std::memory_order_relaxed);
+    s.core_memo_hits = Metrics::Value("ilp/core_memo/hits");
     s.presolve_micros = Metrics::Value("ilp/presolve/micros");
     s.key_micros = Metrics::Value("ilp/core_memo/key_micros");
     s.bnb_micros = Metrics::Value("ilp/bnb/micros");
@@ -94,6 +121,8 @@ struct PresolveSnapshot {
     d.build_micros = build_micros - before.build_micros;
     d.enum_micros = enum_micros - before.enum_micros;
     d.edge_micros = edge_micros - before.edge_micros;
+    d.core_memo_hits = core_memo_hits - before.core_memo_hits;
+    d.heap_allocations = heap_allocations - before.heap_allocations;
     return d;
   }
 };
@@ -174,6 +203,8 @@ int main(int argc, char** argv) {
       std::printf("%-14s pipeline: build %.3fs (enum %.3fs, edges %.3fs)\n", "",
                   d.build_micros * 1e-6, d.enum_micros * 1e-6, d.edge_micros * 1e-6);
     }
+    std::printf("%-14s heap: %lld allocations, core memo hits %lld\n", "", d.heap_allocations,
+                d.core_memo_hits);
     const double max_gap = Metrics::MaxValue("ilp/outcome/gap_ppm_max") * 1e-6;
     const double mean_gap = d.aborted > 0 ? (d.gap_ppm_sum * 1e-6) / d.aborted : 0.0;
     if (d.aborted > 0) {
@@ -207,7 +238,9 @@ int main(int argc, char** argv) {
         .Num("core_key_seconds", d.key_micros * 1e-6)
         .Num("search_seconds", d.bnb_micros * 1e-6)
         .Num("diffusion_seconds", d.diffusion_micros * 1e-6)
-        .Int("diffusion_sweeps", d.diffusion_sweeps);
+        .Int("diffusion_sweeps", d.diffusion_sweeps)
+        .Int("core_memo_hits", d.core_memo_hits)
+        .Int("heap_allocations", d.heap_allocations);
     return r;
   };
 

@@ -15,6 +15,15 @@
 namespace alpa {
 namespace {
 
+// A choices x choices edge u -> v with costs in [0, 5), drawn row by row.
+IlpProblem::Edge RandomEdge(Rng& rng, int u, int v, int choices) {
+  IlpProblem::Edge edge{u, v, CostMatrix(choices, choices)};
+  for (size_t c = 0; c < edge.cost.size(); ++c) {
+    edge.cost.data()[c] = rng.NextDouble(0, 5);
+  }
+  return edge;
+}
+
 IlpProblem ChainProblem(int nodes, int choices, uint64_t seed) {
   Rng rng(seed);
   IlpProblem problem;
@@ -25,16 +34,7 @@ IlpProblem ChainProblem(int nodes, int choices, uint64_t seed) {
     }
   }
   for (int v = 0; v + 1 < nodes; ++v) {
-    IlpProblem::Edge edge;
-    edge.u = v;
-    edge.v = v + 1;
-    edge.cost.assign(static_cast<size_t>(choices), std::vector<double>());
-    for (auto& row : edge.cost) {
-      for (int j = 0; j < choices; ++j) {
-        row.push_back(rng.NextDouble(0, 5));
-      }
-    }
-    problem.edges.push_back(std::move(edge));
+    problem.edges.push_back(RandomEdge(rng, v, v + 1, choices));
   }
   return problem;
 }
@@ -54,16 +54,7 @@ void BM_IlpBranchAndBound(benchmark::State& state) {
   IlpProblem problem = ChainProblem(static_cast<int>(state.range(0)), 8, 7);
   Rng rng(3);
   for (int v = 0; v + 4 < state.range(0); v += 4) {
-    IlpProblem::Edge edge;
-    edge.u = v;
-    edge.v = v + 4;
-    edge.cost.assign(8, std::vector<double>());
-    for (auto& row : edge.cost) {
-      for (int j = 0; j < 8; ++j) {
-        row.push_back(rng.NextDouble(0, 5));
-      }
-    }
-    problem.edges.push_back(std::move(edge));
+    problem.edges.push_back(RandomEdge(rng, v, v + 4, 8));
   }
   IlpSolver solver;
   for (auto _ : state) {

@@ -117,6 +117,14 @@ void* Arena::AllocBytes(int64_t bytes) {
   return p;
 }
 
+void Arena::Reset() {
+  used_ = 0;
+  overflow_.clear();
+  if (high_water_ > capacity_bytes()) {
+    slab_.ResizeUninitialized(static_cast<size_t>(AlignUp(high_water_, 64) / 4));
+  }
+}
+
 float* Arena::AllocFloats(int64_t n) {
   return static_cast<float*>(AllocBytes(n * static_cast<int64_t>(sizeof(float))));
 }

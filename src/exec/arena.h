@@ -55,7 +55,9 @@ class Arena {
  public:
   float* AllocFloats(int64_t n);
   double* AllocDoubles(int64_t n);
-  void Reset() { used_ = 0; }
+  // Rewinds the bump pointer, drops the overflow blocks, and regrows the
+  // slab to the high-water mark when that outgrew it.
+  void Reset();
   int64_t capacity_bytes() const { return static_cast<int64_t>(slab_.size()) * 4; }
   int64_t high_water_bytes() const { return high_water_; }
 

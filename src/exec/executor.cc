@@ -613,7 +613,6 @@ class DeviceWorker {
     } else {
       out.box = ctx_.layout[static_cast<size_t>(sid)].TileSlice(op.shape, ctx_.mesh, coord_i_,
                                                                 coord_j_);
-      out.data.assign(static_cast<size_t>(BoxElements(out.box)), 0.0f);
       EvalOpRegion(op, operands, &out);
     }
     if (op.type == OpType::kLoss && rank_ == 0) {

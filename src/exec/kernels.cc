@@ -383,13 +383,15 @@ bool TryEinsumGemm(const Operator& op, const std::vector<const HostTensor*>& ope
   }
 
   const int64_t cells = std::max<int64_t>(1, BoxElements(box));
-  out->assign(static_cast<size_t>(cells), 0.0);
   const int64_t first_extent = spec.Extent(contraction[0]);
   ALPA_CHECK_GE(contraction_lo, 0);
   ALPA_CHECK_LE(contraction_hi, first_extent);
   if (contraction_hi <= contraction_lo || BoxElements(box) == 0) {
+    out->assign(static_cast<size_t>(cells), 0.0);
     return true;  // Empty contraction range (or box): all sums stay 0.
   }
+  // Batch x M x N covers the box, so the scatter below writes every cell.
+  out->resize(static_cast<size_t>(cells));
 
   // Flattened K: odometer over contraction labels, last label fastest.
   std::vector<std::pair<int64_t, int64_t>> ranges;
@@ -610,7 +612,9 @@ void EvalEinsumPartials(const Operator& op, const std::vector<const HostTensor*>
 
 void EvalEinsumRegion(const Operator& op, const std::vector<const HostTensor*>& operands,
                       int64_t contraction_lo, int64_t contraction_hi, TileData* out) {
-  std::vector<double> sums;
+  // Per-thread partials, consumed before this call returns, so every call
+  // after the first on a thread reuses the buffer.
+  thread_local std::vector<double> sums;
   EvalEinsumPartials(op, operands, contraction_lo, contraction_hi, out->box, &sums);
   out->data.resize(sums.size());
   for (size_t i = 0; i < sums.size(); ++i) {
@@ -621,7 +625,11 @@ void EvalEinsumRegion(const Operator& op, const std::vector<const HostTensor*>& 
 void EvalOpRegion(const Operator& op, const std::vector<const HostTensor*>& operands,
                   TileData* out) {
   ALPA_CHECK(out->full_shape == op.shape);
-  out->data.assign(static_cast<size_t>(std::max<int64_t>(1, BoxElements(out->box))), 0.0f);
+  // Einsums size the tile and write every cell themselves; the other
+  // kernels fill a zeroed tile.
+  if (op.type != OpType::kEinsum) {
+    out->data.assign(static_cast<size_t>(std::max<int64_t>(1, BoxElements(out->box))), 0.0f);
+  }
   switch (op.type) {
     case OpType::kEinsum: {
       const std::string contraction = op.einsum.ContractionLabels();

@@ -87,10 +87,10 @@ ParallelAlgorithm ReplicatedFallback(const Graph& graph, const DeviceMesh& mesh,
 
 // Keeps the entries of `values` at the ascending indices `rows`, in order.
 template <typename T>
-void KeepEntries(const std::vector<size_t>& rows, std::vector<T>* values) {
+void KeepEntries(const std::vector<int>& rows, std::vector<T>* values) {
   for (size_t k = 0; k < rows.size(); ++k) {
-    if (rows[k] != k) {
-      (*values)[k] = std::move((*values)[rows[k]]);
+    if (static_cast<size_t>(rows[k]) != k) {
+      (*values)[k] = std::move((*values)[static_cast<size_t>(rows[k])]);
     }
   }
   values->resize(rows.size());
@@ -186,6 +186,11 @@ IntraOpProblem BuildIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
   enum_micros->Add(
       std::chrono::duration_cast<std::chrono::microseconds>(edge_t0 - enum_t0).count());
   std::unordered_map<uint64_t, size_t> edge_index;
+  // Per-edge scratch, reused across edges.
+  std::vector<ShardingSpec> projected;
+  std::vector<int> dst_uid, src_uid;
+  std::vector<const ShardingSpec*> uniq_dst, uniq_src;
+  std::vector<double> uniq_cost;
   for (int c = 0; c < graph.size(); ++c) {
     const Operator& consumer = graph.op(c);
     const int rc = problem.merge.rep[static_cast<size_t>(c)];
@@ -200,66 +205,56 @@ IntraOpProblem BuildIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
       const Operator& producer = graph.op(p);
       const int64_t dtype_bytes = DTypeBytes(producer.dtype);
 
-      IlpProblem::Edge edge;
-      edge.u = ni;
-      edge.v = nj;
       const auto& src_algos = problem.algorithms[static_cast<size_t>(ni)];
       const auto& dst_algos = problem.algorithms[static_cast<size_t>(nj)];
-      edge.cost.assign(src_algos.size(), std::vector<double>(dst_algos.size(), 0.0));
       const bool consumer_is_node = (rc == c);
       const bool is_update_param_edge = (consumer.type == OpType::kUpdate && oi == 0);
-      // The destination spec depends only on the consumer choice j, so it
-      // (and its validity check) is hoisted out of the i loop: the cell
-      // count is |src| x |dst| but only |src| + |dst| distinct specs.
-      std::vector<ShardingSpec> dst_specs(dst_algos.size());
-      std::vector<char> dst_valid(dst_algos.size());
-      for (size_t j = 0; j < dst_algos.size(); ++j) {
-        dst_specs[j] = consumer_is_node
-                           ? dst_algos[j].input_specs[oi]
-                           : ProjectToTrailing(dst_algos[j].output_spec, producer.shape.rank());
-        dst_valid[j] = dst_specs[j].IsValidFor(producer.shape, mesh) ? 1 : 0;
-      }
       // Algorithms frequently share a boundary spec (replicated outputs,
       // repeated input layouts), so resharding costs are computed once per
       // unique valid (src, dst) spec pair and broadcast to the full matrix.
-      // A uid of -1 marks an invalid spec; those cells are infeasible.
-      std::vector<int> dst_uid(dst_algos.size(), -1);
-      std::vector<const ShardingSpec*> uniq_dst;
-      for (size_t j = 0; j < dst_algos.size(); ++j) {
-        if (!dst_valid[j]) {
-          continue;
-        }
-        for (size_t u = 0; u < uniq_dst.size() && dst_uid[j] < 0; ++u) {
-          if (*uniq_dst[u] == dst_specs[j]) {
-            dst_uid[j] = static_cast<int>(u);
+      // A uid of -1 marks an invalid spec; those cells are infeasible. The
+      // destination spec depends only on the consumer choice j: the cell
+      // count is |src| x |dst| but only |src| + |dst| distinct specs.
+      const auto assign_uids = [&](size_t n, const auto& spec_of, std::vector<int>* uid,
+                                   std::vector<const ShardingSpec*>* uniq) {
+        uid->assign(n, -1);
+        uniq->clear();
+        for (size_t k = 0; k < n; ++k) {
+          const ShardingSpec& spec = spec_of(k);
+          if (!spec.IsValidFor(producer.shape, mesh)) {
+            continue;
+          }
+          for (size_t u = 0; u < uniq->size() && (*uid)[k] < 0; ++u) {
+            if (*(*uniq)[u] == spec) {
+              (*uid)[k] = static_cast<int>(u);
+            }
+          }
+          if ((*uid)[k] < 0) {
+            (*uid)[k] = static_cast<int>(uniq->size());
+            uniq->push_back(&spec);
           }
         }
-        if (dst_uid[j] < 0) {
-          dst_uid[j] = static_cast<int>(uniq_dst.size());
-          uniq_dst.push_back(&dst_specs[j]);
+      };
+      if (!consumer_is_node) {
+        projected.resize(dst_algos.size());
+        for (size_t j = 0; j < dst_algos.size(); ++j) {
+          projected[j] = ProjectToTrailing(dst_algos[j].output_spec, producer.shape.rank());
         }
       }
-      std::vector<int> src_uid(src_algos.size(), -1);
-      std::vector<const ShardingSpec*> uniq_src;
-      for (size_t i = 0; i < src_algos.size(); ++i) {
-        const ShardingSpec& src = src_algos[i].output_spec;
-        if (!src.IsValidFor(producer.shape, mesh)) {
-          continue;
-        }
-        for (size_t u = 0; u < uniq_src.size() && src_uid[i] < 0; ++u) {
-          if (*uniq_src[u] == src) {
-            src_uid[i] = static_cast<int>(u);
-          }
-        }
-        if (src_uid[i] < 0) {
-          src_uid[i] = static_cast<int>(uniq_src.size());
-          uniq_src.push_back(&src);
-        }
-      }
-      std::vector<std::vector<double>> uniq_cost(
-          uniq_src.size(), std::vector<double>(uniq_dst.size(), 0.0));
+      assign_uids(
+          dst_algos.size(),
+          [&](size_t j) -> const ShardingSpec& {
+            return consumer_is_node ? dst_algos[j].input_specs[oi] : projected[j];
+          },
+          &dst_uid, &uniq_dst);
+      assign_uids(
+          src_algos.size(),
+          [&](size_t i) -> const ShardingSpec& { return src_algos[i].output_spec; }, &src_uid,
+          &uniq_src);
+      const size_t num_uniq_dst = uniq_dst.size();
+      uniq_cost.resize(uniq_src.size() * num_uniq_dst);
       for (size_t us = 0; us < uniq_src.size(); ++us) {
-        for (size_t ud = 0; ud < uniq_dst.size(); ++ud) {
+        for (size_t ud = 0; ud < num_uniq_dst; ++ud) {
           const ShardingSpec& src = *uniq_src[us];
           const ShardingSpec& dst = *uniq_dst[ud];
           double cost = ReshardCost(src, dst, producer.shape, dtype_bytes, mesh);
@@ -269,53 +264,46 @@ IntraOpProblem BuildIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
             // optimizer step is sharded, i.e. ZeRO).
             cost += ReshardCost(dst, src, producer.shape, dtype_bytes, mesh);
           }
-          uniq_cost[us][ud] = cost;
-        }
-      }
-      for (size_t i = 0; i < src_algos.size(); ++i) {
-        for (size_t j = 0; j < dst_algos.size(); ++j) {
-          edge.cost[i][j] = (src_uid[i] < 0 || dst_uid[j] < 0)
-                                ? kInfCost
-                                : uniq_cost[static_cast<size_t>(src_uid[i])]
-                                           [static_cast<size_t>(dst_uid[j])];
+          uniq_cost[us * num_uniq_dst + ud] = cost;
         }
       }
       // Resharding on the way into a per-iteration consumer (gradients
       // flowing to the optimizer) amortizes over gradient accumulation.
+      // Accumulators keep the canonical orientation (u < v), so both tensor
+      // directions between a pair land on one: a producer with the higher
+      // node id writes its cell (i, j) at (j, i).
       const bool edge_flag = per_iteration[static_cast<size_t>(c)] != 0;
-      if (edge_flag) {
-        for (auto& row : edge.cost) {
-          for (double& value : row) {
-            value /= amortize;
-          }
-        }
-      }
-      // Canonical orientation (u < v) so both tensor directions between a
-      // pair land on one accumulator matrix.
-      if (edge.u > edge.v) {
-        IlpProblem::Edge flipped;
-        flipped.u = edge.v;
-        flipped.v = edge.u;
-        flipped.cost.assign(edge.cost[0].size(), std::vector<double>(edge.cost.size(), 0.0));
-        for (size_t i = 0; i < edge.cost.size(); ++i) {
-          for (size_t j = 0; j < edge.cost[i].size(); ++j) {
-            flipped.cost[j][i] = edge.cost[i][j];
-          }
-        }
-        edge = std::move(flipped);
-      }
-      const uint64_t key = (static_cast<uint64_t>(edge.u) << 33) |
-                           (static_cast<uint64_t>(edge.v) << 1) |
+      const bool flip = ni > nj;
+      const int eu = flip ? nj : ni;
+      const int ev = flip ? ni : nj;
+      const uint64_t key = (static_cast<uint64_t>(eu) << 33) |
+                           (static_cast<uint64_t>(ev) << 1) |
                            static_cast<uint64_t>(edge_flag ? 1 : 0);
       const auto [it, inserted] = edge_index.emplace(key, problem.ilp.edges.size());
       if (inserted) {
         problem.edge_per_iteration.push_back(edge_flag);
-        problem.ilp.edges.push_back(std::move(edge));
-      } else {
-        auto& acc = problem.ilp.edges[it->second].cost;
-        for (size_t i = 0; i < acc.size(); ++i) {
-          for (size_t j = 0; j < acc[i].size(); ++j) {
-            acc[i][j] += edge.cost[i][j];
+        problem.ilp.edges.push_back(IlpProblem::Edge{
+            eu, ev,
+            CostMatrix(static_cast<int>(flip ? dst_algos.size() : src_algos.size()),
+                       static_cast<int>(flip ? src_algos.size() : dst_algos.size()))});
+      }
+      CostMatrix& acc = problem.ilp.edges[it->second].cost;
+      for (int r = 0; r < acc.rows(); ++r) {
+        double* row = acc.row(r);
+        for (int col = 0; col < acc.cols(); ++col) {
+          const size_t i = static_cast<size_t>(flip ? col : r);
+          const size_t j = static_cast<size_t>(flip ? r : col);
+          double value = (src_uid[i] < 0 || dst_uid[j] < 0)
+                             ? kInfCost
+                             : uniq_cost[static_cast<size_t>(src_uid[i]) * num_uniq_dst +
+                                         static_cast<size_t>(dst_uid[j])];
+          if (edge_flag) {
+            value /= amortize;
+          }
+          if (inserted) {
+            row[col] = value;
+          } else {
+            row[col] += value;
           }
         }
       }
@@ -335,14 +323,14 @@ void RestrictIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
   const size_t num_nodes = problem->algorithms.size();
   // Kept choice indices of every node that loses a choice; empty for nodes
   // that keep them all, whose rows and columns stay untouched.
-  std::vector<std::vector<size_t>> kept(num_nodes);
+  std::vector<std::vector<int>> kept(num_nodes);
   for (size_t n = 0; n < num_nodes; ++n) {
     const Operator& op = graph.op(problem->merge.decision_ops[n]);
     std::vector<ParallelAlgorithm>& algorithms = problem->algorithms[n];
-    std::vector<size_t>& rows = kept[n];
+    std::vector<int>& rows = kept[n];
     for (size_t i = 0; i < algorithms.size(); ++i) {
       if (keep(graph, mesh, op, algorithms[i])) {
-        rows.push_back(i);
+        rows.push_back(static_cast<int>(i));
       }
     }
     if (rows.size() == algorithms.size()) {
@@ -366,20 +354,15 @@ void RestrictIntraOpProblem(const Graph& graph, const DeviceMesh& mesh,
     ALPA_CHECK(same_specs != algorithms.end())
         << "restriction drops every choice of op " << op.id
         << " and none has the replicated fallback's specs";
-    rows.push_back(static_cast<size_t>(same_specs - algorithms.begin()));
+    rows.push_back(static_cast<int>(same_specs - algorithms.begin()));
     costs.assign(1, NodeCost(op, fallback, problem->node_per_iteration[n], amortize, mesh));
     algorithms.assign(1, std::move(fallback));
   }
   for (IlpProblem::Edge& edge : problem->ilp.edges) {
-    const std::vector<size_t>& rows = kept[static_cast<size_t>(edge.u)];
-    const std::vector<size_t>& cols = kept[static_cast<size_t>(edge.v)];
-    if (!rows.empty()) {
-      KeepEntries(rows, &edge.cost);
-    }
-    if (!cols.empty()) {
-      for (std::vector<double>& row : edge.cost) {
-        KeepEntries(cols, &row);
-      }
+    const std::vector<int>& rows = kept[static_cast<size_t>(edge.u)];
+    const std::vector<int>& cols = kept[static_cast<size_t>(edge.v)];
+    if (!rows.empty() || !cols.empty()) {
+      edge.cost.Keep(rows, cols);
     }
   }
   build_micros->Add(MicrosSince(t0));
@@ -417,9 +400,8 @@ IntraOpResult EvaluateChoice(const Graph& graph, const DeviceMesh& mesh,
   }
   for (size_t e = 0; e < problem.ilp.edges.size(); ++e) {
     const IlpProblem::Edge& edge = problem.ilp.edges[e];
-    const double value =
-        edge.cost[static_cast<size_t>(result.choice[static_cast<size_t>(edge.u)])]
-                 [static_cast<size_t>(result.choice[static_cast<size_t>(edge.v)])];
+    const double value = edge.cost.at(result.choice[static_cast<size_t>(edge.u)],
+                                      result.choice[static_cast<size_t>(edge.v)]);
     if (problem.edge_per_iteration[e]) {
       per_iter += value * amortize;
     } else {

@@ -129,13 +129,6 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
       rev[static_cast<size_t>(au)] = av;
       rev[static_cast<size_t>(av)] = au;
       arc_u[k] = au;
-      double* uv = f.arena.data() + base_uv[k];
-      for (int i = 0; i < ku; ++i) {
-        for (int j = 0; j < kv; ++j) {
-          uv[static_cast<int64_t>(i) * kv + j] =
-              Clamp(e.cost[static_cast<size_t>(i)][static_cast<size_t>(j)]);
-        }
-      }
     }
   }
   std::vector<int64_t> arc_min_off(f.arcs.size() + 1, 0);
@@ -158,26 +151,40 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
   // and ScoreVar drops the choice. One pass per direction reaches the
   // fixpoint of this projection (edge blocks never receive cost back from
   // unaries).
+  //
+  // Two row-major passes per block. The first loads each row clamped,
+  // projects it, and folds it into the column minima; the second shifts
+  // every column by its minimum (+0.0 where the minimum is a zero, which
+  // leaves every cell as it is) and takes the projected block's minima.
+  std::vector<double> col_shift;
   for (size_t k = 0; k < num_edges; ++k) {
     const IlpProblem::Edge& e = p.edges[k];
     const int ku = p.num_choices(e.u);
     const int kv = p.num_choices(e.v);
     double* uv = f.arena.data() + base_uv[k];
+    double* unary_u = f.unary.data() + f.off[static_cast<size_t>(e.u)];
+    double* unary_v = f.unary.data() + f.off[static_cast<size_t>(e.v)];
+    col_shift.assign(static_cast<size_t>(kv), kInf);
+    double* shift = col_shift.data();
     for (int i = 0; i < ku; ++i) {
+      const double* src = e.cost.row(i);
       double* row = uv + static_cast<int64_t>(i) * kv;
       double mn = kInf;
-      for (int j = 0; j < kv; ++j) mn = std::min(mn, row[j]);
+      for (int j = 0; j < kv; ++j) {
+        row[j] = Clamp(src[j]);
+        mn = std::min(mn, row[j]);
+      }
       if (mn != 0.0) {
-        f.unary[static_cast<size_t>(f.off[static_cast<size_t>(e.u)] + i)] += mn;
+        unary_u[i] += mn;
         for (int j = 0; j < kv; ++j) row[j] -= mn;
       }
+      for (int j = 0; j < kv; ++j) shift[j] = std::min(shift[j], row[j]);
     }
     for (int j = 0; j < kv; ++j) {
-      double mn = kInf;
-      for (int i = 0; i < ku; ++i) mn = std::min(mn, uv[static_cast<int64_t>(i) * kv + j]);
-      if (mn != 0.0) {
-        f.unary[static_cast<size_t>(f.off[static_cast<size_t>(e.v)] + j)] += mn;
-        for (int i = 0; i < ku; ++i) uv[static_cast<int64_t>(i) * kv + j] -= mn;
+      if (shift[j] != 0.0) {
+        unary_v[j] += shift[j];
+      } else {
+        shift[j] = 0.0;
       }
     }
     // The projected block's row minima from both sides, and its minimum.
@@ -189,9 +196,10 @@ FlatCore BuildFlatCore(const IlpProblem& p) {
     std::fill(v_min, v_min + kv, kInf);
     double em = kInf;
     for (int i = 0; i < ku; ++i) {
-      const double* row = uv + static_cast<int64_t>(i) * kv;
+      double* row = uv + static_cast<int64_t>(i) * kv;
       double mn = kInf;
       for (int j = 0; j < kv; ++j) {
+        row[j] -= shift[j];
         mn = std::min(mn, row[j]);
         v_min[j] = std::min(v_min[j], row[j]);
       }

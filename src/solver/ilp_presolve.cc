@@ -26,6 +26,10 @@ struct Work {
   std::vector<int> degree;            // Count of alive incident edges.
   std::vector<char> dirty;  // Nodes whose dominance inputs changed since last pass.
   PresolvedProblem* out = nullptr;
+  // Scratch reused across folds and dominance scans.
+  std::vector<int> choices;
+  std::vector<double> rows_a, rows_b, partial;
+  std::vector<double> lo, hi;
 
   // Dominance at a node depends on the peers' alive choice sets and the
   // incident edge matrices, so any mutation there re-queues the neighbors.
@@ -38,14 +42,15 @@ struct Work {
   }
 
   double Cost(const IlpProblem::Edge& e, int node, int self_choice, int peer_choice) const {
-    return node == e.u ? e.cost[static_cast<size_t>(self_choice)][static_cast<size_t>(peer_choice)]
-                       : e.cost[static_cast<size_t>(peer_choice)][static_cast<size_t>(self_choice)];
+    return node == e.u ? e.cost.at(self_choice, peer_choice) : e.cost.at(peer_choice, self_choice);
   }
   int Peer(const IlpProblem::Edge& e, int node) const { return node == e.u ? e.v : e.u; }
 };
 
 // Sums parallel edges into canonical (min, max) oriented matrices via an
-// endpoint-pair hash map; O(E) instead of the old O(E^2) linear scan.
+// endpoint-pair hash map; O(E) instead of the old O(E^2) linear scan. Each
+// raw matrix is read once, row by row: a flipped edge's row r lands in
+// column r of its accumulator. Accumulators start at 0.0 and add.
 void MergeEdges(const IlpProblem& problem, Work& w) {
   std::unordered_map<uint64_t, int> index;
   index.reserve(problem.edges.size() * 2);
@@ -56,20 +61,23 @@ void MergeEdges(const IlpProblem& problem, Work& w) {
     const uint64_t key = (static_cast<uint64_t>(u) << 32) | static_cast<uint64_t>(v);
     auto [it, inserted] = index.emplace(key, static_cast<int>(w.edges.size()));
     if (inserted) {
-      IlpProblem::Edge canonical;
-      canonical.u = u;
-      canonical.v = v;
-      canonical.cost.assign(
-          problem.node_costs[static_cast<size_t>(u)].size(),
-          std::vector<double>(problem.node_costs[static_cast<size_t>(v)].size(), 0.0));
-      w.edges.push_back(std::move(canonical));
+      w.edges.push_back(
+          IlpProblem::Edge{u, v, CostMatrix(problem.num_choices(u), problem.num_choices(v))});
     } else {
       ++w.out->stats.parallel_edges_merged;
     }
-    auto& acc = w.edges[static_cast<size_t>(it->second)].cost;
-    for (size_t i = 0; i < acc.size(); ++i) {
-      for (size_t j = 0; j < acc[i].size(); ++j) {
-        acc[i][j] += flipped ? e.cost[j][i] : e.cost[i][j];
+    CostMatrix& acc = w.edges[static_cast<size_t>(it->second)].cost;
+    for (int r = 0; r < e.cost.rows(); ++r) {
+      const double* src = e.cost.row(r);
+      if (flipped) {
+        for (int c = 0; c < e.cost.cols(); ++c) {
+          acc.at(c, r) += src[c];
+        }
+      } else {
+        double* dst = acc.row(r);
+        for (int c = 0; c < e.cost.cols(); ++c) {
+          dst[c] += src[c];
+        }
       }
     }
   }
@@ -94,66 +102,47 @@ void FoldSeriesNode(Work& w, int v) {
   const int b = w.Peer(w.edges[static_cast<size_t>(e2)], v);
   const auto& alive = w.choice_alive[static_cast<size_t>(v)];
   const auto& costs = w.unary[static_cast<size_t>(v)];
-  int fallback = -1;  // First alive choice; used when a pair is infeasible.
-  for (size_t i = 0; i < costs.size() && fallback < 0; ++i) {
+  // v's alive choices, ascending. The first is the fallback pick for pairs
+  // that have no feasible response.
+  std::vector<int>& choices = w.choices;
+  choices.clear();
+  for (size_t i = 0; i < costs.size(); ++i) {
     if (alive[i]) {
-      fallback = static_cast<int>(i);
+      choices.push_back(static_cast<int>(i));
     }
   }
-  ALPA_CHECK_GE(fallback, 0);
+  ALPA_CHECK(!choices.empty());
+  const size_t nc = choices.size();
 
-  const size_t ka = w.unary[static_cast<size_t>(a)].size();
-  const size_t kb = w.unary[static_cast<size_t>(b)].size();
-  FoldRecord record;
-  record.v = v;
-  record.into = a;
-  record.into2 = b;
-  record.pick2.assign(ka, std::vector<int>(kb, fallback));
-  std::vector<std::vector<double>> folded(ka, std::vector<double>(kb, kInfCost));
-  const auto& a_alive = w.choice_alive[static_cast<size_t>(a)];
-  const auto& b_alive = w.choice_alive[static_cast<size_t>(b)];
-  for (size_t ja = 0; ja < ka; ++ja) {
-    if (!a_alive[ja]) {
-      continue;
-    }
-    for (size_t jb = 0; jb < kb; ++jb) {
-      if (!b_alive[jb]) {
-        continue;
-      }
-      double best = kInfCost;
-      int best_i = -1;
-      for (size_t i = 0; i < costs.size(); ++i) {
-        if (!alive[i]) {
-          continue;
-        }
-        const double c = costs[i] +
-                         w.Cost(w.edges[static_cast<size_t>(e1)], v, static_cast<int>(i),
-                                static_cast<int>(ja)) +
-                         w.Cost(w.edges[static_cast<size_t>(e2)], v, static_cast<int>(i),
-                                static_cast<int>(jb));
-        if (best_i < 0 || c < best) {
-          best = c;
-          best_i = static_cast<int>(i);
+  // Each edge's costs as one row per neighbor choice over v's alive
+  // choices: rows[j * nc + x] is the edge's cost when the neighbor picks j
+  // and v picks choices[x], so the best-response scans below read
+  // contiguous rows.
+  const auto gather = [&](const IlpProblem::Edge& e, std::vector<double>* rows) {
+    if (v == e.v) {
+      rows->resize(static_cast<size_t>(e.cost.rows()) * nc);
+      for (int j = 0; j < e.cost.rows(); ++j) {
+        const double* src = e.cost.row(j);
+        double* dst = rows->data() + static_cast<size_t>(j) * nc;
+        for (size_t x = 0; x < nc; ++x) {
+          dst[x] = src[choices[x]];
         }
       }
-      // best_i < 0 cannot happen (fallback exists); an all-infinite column
-      // leaves the entry at kInfCost, correctly marking the pair infeasible.
-      if (best_i >= 0 && std::isfinite(best)) {
-        folded[ja][jb] = best;
-        record.pick2[ja][jb] = best_i;
+    } else {
+      rows->resize(static_cast<size_t>(e.cost.cols()) * nc);
+      for (size_t x = 0; x < nc; ++x) {
+        const double* src = e.cost.row(choices[x]);
+        for (int j = 0; j < e.cost.cols(); ++j) {
+          (*rows)[static_cast<size_t>(j) * nc + x] = src[j];
+        }
       }
     }
-  }
-  w.out->folds.push_back(std::move(record));
+  };
+  gather(w.edges[static_cast<size_t>(e1)], &w.rows_a);
+  gather(w.edges[static_cast<size_t>(e2)], &w.rows_b);
 
-  // Retire v and its edges, then fold the matrix into the (a, b) edge. The
-  // (a, b) matrix changed, so both endpoints need a fresh dominance look.
-  w.dirty[static_cast<size_t>(a)] = 1;
-  w.dirty[static_cast<size_t>(b)] = 1;
-  w.edge_alive[static_cast<size_t>(e1)] = 0;
-  w.edge_alive[static_cast<size_t>(e2)] = 0;
-  --w.degree[static_cast<size_t>(a)];
-  --w.degree[static_cast<size_t>(b)];
+  // The folded entries go straight into the (a, b) edge: added to an
+  // existing one, or written into a fresh matrix.
   int ab = -1;
   for (int e : w.adj[static_cast<size_t>(a)]) {
     if (w.edge_alive[static_cast<size_t>(e)] &&
@@ -162,32 +151,76 @@ void FoldSeriesNode(Work& w, int v) {
       break;
     }
   }
-  if (ab >= 0) {
-    IlpProblem::Edge& edge = w.edges[static_cast<size_t>(ab)];
-    const bool a_is_u = (edge.u == a);
-    for (size_t ja = 0; ja < ka; ++ja) {
-      for (size_t jb = 0; jb < kb; ++jb) {
-        double& cell = a_is_u ? edge.cost[ja][jb] : edge.cost[jb][ja];
-        cell += folded[ja][jb];
+  const int ka = static_cast<int>(w.unary[static_cast<size_t>(a)].size());
+  const int kb = static_cast<int>(w.unary[static_cast<size_t>(b)].size());
+  const bool a_is_u = ab >= 0 ? w.edges[static_cast<size_t>(ab)].u == a : a < b;
+  CostMatrix created;
+  if (ab < 0) {
+    created = CostMatrix(a_is_u ? ka : kb, a_is_u ? kb : ka);
+  }
+  CostMatrix& target = ab >= 0 ? w.edges[static_cast<size_t>(ab)].cost : created;
+
+  FoldRecord record;
+  record.v = v;
+  record.into = a;
+  record.into2 = b;
+  record.into2_choices = kb;
+  record.pick2.assign(static_cast<size_t>(ka) * static_cast<size_t>(kb), choices[0]);
+  const auto& a_alive = w.choice_alive[static_cast<size_t>(a)];
+  const auto& b_alive = w.choice_alive[static_cast<size_t>(b)];
+  std::vector<double>& partial = w.partial;  // v's unary plus e1, per alive choice.
+  partial.resize(nc);
+  for (int ja = 0; ja < ka; ++ja) {
+    if (a_alive[static_cast<size_t>(ja)]) {
+      const double* row_a = w.rows_a.data() + static_cast<size_t>(ja) * nc;
+      for (size_t x = 0; x < nc; ++x) {
+        partial[x] = costs[static_cast<size_t>(choices[x])] + row_a[x];
       }
     }
-    w.out->stats.edges_folded += 2;
-  } else {
-    IlpProblem::Edge edge;
-    edge.u = std::min(a, b);
-    edge.v = std::max(a, b);
-    if (edge.u == a) {
-      edge.cost = std::move(folded);
-    } else {
-      edge.cost.assign(kb, std::vector<double>(ka, 0.0));
-      for (size_t ja = 0; ja < ka; ++ja) {
-        for (size_t jb = 0; jb < kb; ++jb) {
-          edge.cost[jb][ja] = folded[ja][jb];
+    for (int jb = 0; jb < kb; ++jb) {
+      // Dead neighbor choices and all-infinite columns leave the entry at
+      // kInfCost, correctly marking the pair infeasible.
+      double value = kInfCost;
+      if (a_alive[static_cast<size_t>(ja)] && b_alive[static_cast<size_t>(jb)]) {
+        const double* row_b = w.rows_b.data() + static_cast<size_t>(jb) * nc;
+        double best = kInfCost;
+        size_t best_x = 0;
+        for (size_t x = 0; x < nc; ++x) {
+          const double c = partial[x] + row_b[x];
+          if (x == 0 || c < best) {
+            best = c;
+            best_x = x;
+          }
+        }
+        if (std::isfinite(best)) {
+          value = best;
+          record.pick2[static_cast<size_t>(ja) * static_cast<size_t>(kb) +
+                       static_cast<size_t>(jb)] = choices[best_x];
         }
       }
+      double& cell = a_is_u ? target.at(ja, jb) : target.at(jb, ja);
+      if (ab >= 0) {
+        cell += value;
+      } else {
+        cell = value;
+      }
     }
+  }
+  w.out->folds.push_back(std::move(record));
+
+  // Retire v and its edges. The (a, b) matrix changed, so both endpoints
+  // need a fresh dominance look.
+  w.dirty[static_cast<size_t>(a)] = 1;
+  w.dirty[static_cast<size_t>(b)] = 1;
+  w.edge_alive[static_cast<size_t>(e1)] = 0;
+  w.edge_alive[static_cast<size_t>(e2)] = 0;
+  --w.degree[static_cast<size_t>(a)];
+  --w.degree[static_cast<size_t>(b)];
+  if (ab >= 0) {
+    w.out->stats.edges_folded += 2;
+  } else {
     const int id = static_cast<int>(w.edges.size());
-    w.edges.push_back(std::move(edge));
+    w.edges.push_back(IlpProblem::Edge{std::min(a, b), std::max(a, b), std::move(created)});
     w.edge_alive.push_back(1);
     w.adj[static_cast<size_t>(a)].push_back(id);
     w.adj[static_cast<size_t>(b)].push_back(id);
@@ -352,29 +385,43 @@ bool DominancePass(Work& w) {
           peer_js.push_back(static_cast<int>(j));
         }
       }
-      const bool v_is_u = (edge.u == v);
-      for (size_t i = 0; i < k; ++i) {
-        if (!alive[i]) {
-          continue;
-        }
-        double lo = kInfCost;
-        double hi = -kInfCost;
-        if (v_is_u) {
-          const double* row = edge.cost[i].data();
+      if (edge.u == v) {
+        for (size_t i = 0; i < k; ++i) {
+          if (!alive[i]) {
+            continue;
+          }
+          const double* row = edge.cost.row(static_cast<int>(i));
+          double lo = kInfCost;
+          double hi = -kInfCost;
           for (int j : peer_js) {
             const double c = row[j];
             lo = std::min(lo, c);
             hi = std::max(hi, c);
           }
-        } else {
-          for (int j : peer_js) {
-            const double c = edge.cost[static_cast<size_t>(j)][i];
-            lo = std::min(lo, c);
-            hi = std::max(hi, c);
-          }
+          best[i] += lo;
+          worst[i] += hi;
         }
-        best[i] += lo;
-        worst[i] += hi;
+        continue;
+      }
+      // v owns the columns: walk the peer's alive rows, each one folding
+      // into every column's envelope. Each column still sees its cells in
+      // ascending row order.
+      std::vector<double>& lo = w.lo;
+      std::vector<double>& hi = w.hi;
+      lo.assign(k, kInfCost);
+      hi.assign(k, -kInfCost);
+      for (int j : peer_js) {
+        const double* row = edge.cost.row(j);
+        for (size_t i = 0; i < k; ++i) {
+          lo[i] = std::min(lo[i], row[i]);
+          hi[i] = std::max(hi[i], row[i]);
+        }
+      }
+      for (size_t i = 0; i < k; ++i) {
+        if (alive[i]) {
+          best[i] += lo[i];
+          worst[i] += hi[i];
+        }
       }
     }
     // Drop infeasible choices first (keep them only if nothing is feasible;
@@ -464,33 +511,32 @@ PresolvedProblem Presolve(const IlpProblem& problem) {
     core_index[static_cast<size_t>(v)] = static_cast<int>(out.core_nodes.size());
     out.core_nodes.push_back(v);
     auto& kept = out.kept[static_cast<size_t>(v)];
-    std::vector<double> costs;
-    for (size_t i = 0; i < w.unary[static_cast<size_t>(v)].size(); ++i) {
+    std::vector<double>& costs = w.unary[static_cast<size_t>(v)];
+    for (size_t i = 0; i < costs.size(); ++i) {
       if (w.choice_alive[static_cast<size_t>(v)][i]) {
+        costs[kept.size()] = costs[i];
         kept.push_back(static_cast<int>(i));
-        costs.push_back(w.unary[static_cast<size_t>(v)][i]);
       }
     }
+    costs.resize(kept.size());
     out.core.node_costs.push_back(std::move(costs));
   }
+  // Each surviving matrix shrinks in place to its kept rows and columns
+  // and moves into the core.
   for (size_t e = 0; e < w.edges.size(); ++e) {
     if (!w.edge_alive[e]) {
       continue;
     }
-    const IlpProblem::Edge& edge = w.edges[e];
-    IlpProblem::Edge compact;
-    compact.u = core_index[static_cast<size_t>(edge.u)];
-    compact.v = core_index[static_cast<size_t>(edge.v)];
+    IlpProblem::Edge& edge = w.edges[e];
     const auto& ku = out.kept[static_cast<size_t>(edge.u)];
     const auto& kv = out.kept[static_cast<size_t>(edge.v)];
-    compact.cost.resize(ku.size());
-    for (size_t i = 0; i < ku.size(); ++i) {
-      compact.cost[i].resize(kv.size());
-      for (size_t j = 0; j < kv.size(); ++j) {
-        compact.cost[i][j] = edge.cost[static_cast<size_t>(ku[i])][static_cast<size_t>(kv[j])];
-      }
+    if (static_cast<int>(ku.size()) != edge.cost.rows() ||
+        static_cast<int>(kv.size()) != edge.cost.cols()) {
+      edge.cost.Keep(ku, kv);
     }
-    out.core.edges.push_back(std::move(compact));
+    out.core.edges.push_back(IlpProblem::Edge{core_index[static_cast<size_t>(edge.u)],
+                                              core_index[static_cast<size_t>(edge.v)],
+                                              std::move(edge.cost)});
   }
   return out;
 }
@@ -514,7 +560,8 @@ std::vector<int> PresolvedProblem::Reconstruct(const std::vector<int>& core_choi
       ALPA_CHECK_GE(ca, 0);
       ALPA_CHECK_GE(cb, 0);
       full[static_cast<size_t>(it->v)] =
-          it->pick2[static_cast<size_t>(ca)][static_cast<size_t>(cb)];
+          it->pick2[static_cast<size_t>(ca) * static_cast<size_t>(it->into2_choices) +
+                    static_cast<size_t>(cb)];
     } else {
       const int into_choice = full[static_cast<size_t>(it->into)];
       ALPA_CHECK_GE(into_choice, 0);
@@ -528,23 +575,17 @@ std::vector<int> PresolvedProblem::Reconstruct(const std::vector<int>& core_choi
 uint64_t IlpProblemFingerprint(const IlpProblem& problem) {
   // Sizes delimit the cost lists, so moving a choice between nodes or an
   // entry between rows changes the hash even when the flattened costs
-  // stay the same.
+  // stay the same. Each cost vector and each matrix is one span.
   WordHash64 hasher;
   hasher.I64(problem.num_nodes());
   for (const auto& costs : problem.node_costs) {
     hasher.I64(static_cast<int64_t>(costs.size()));
-    for (double c : costs) {
-      hasher.Double(c);
-    }
+    hasher.Doubles(costs.data(), costs.size());
   }
   hasher.I64(static_cast<int64_t>(problem.edges.size()));
   for (const IlpProblem::Edge& e : problem.edges) {
     hasher.I64(e.u).I64(e.v);
-    for (const auto& row : e.cost) {
-      for (double c : row) {
-        hasher.Double(c);
-      }
-    }
+    hasher.Doubles(e.cost.data(), e.cost.size());
   }
   return hasher.hash();
 }

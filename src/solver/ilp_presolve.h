@@ -54,9 +54,10 @@ struct FoldRecord {
   // choice j (-1 for j's that were already eliminated). Isolated node:
   // pick[0] is the decision.
   std::vector<int> pick;
-  // Series fold: pick2[i][j] is v's choice when `into` picks original
-  // choice i and `into2` picks original choice j.
-  std::vector<std::vector<int>> pick2;
+  // Series fold: pick2[i * into2_choices + j] is v's choice when `into`
+  // picks original choice i and `into2` picks original choice j.
+  std::vector<int> pick2;
+  int into2_choices = 0;
 };
 
 struct PresolvedProblem {
@@ -80,8 +81,9 @@ PresolvedProblem Presolve(const IlpProblem& problem);
 
 // Order-sensitive structural fingerprint of a problem (node costs by bit
 // pattern, edge endpoints and matrices). Identical problems hash equal, so
-// the solver memoizes core solves on it across calls. One WordHash64 pass:
-// the value is not stable across versions and must never be persisted.
+// the solver memoizes core solves on it across calls. One WordHash64 pass,
+// each cost vector and matrix one four-chain span: the value is not stable
+// across versions and must never be persisted.
 uint64_t IlpProblemFingerprint(const IlpProblem& problem);
 
 }  // namespace alpa

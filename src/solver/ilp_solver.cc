@@ -16,6 +16,33 @@
 
 namespace alpa {
 
+CostMatrix::CostMatrix(std::initializer_list<std::initializer_list<double>> rows)
+    : rows_(static_cast<int>(rows.size())),
+      cols_(rows.size() == 0 ? 0 : static_cast<int>(rows.begin()->size())) {
+  cells_.reserve(static_cast<size_t>(rows_) * static_cast<size_t>(cols_));
+  for (const std::initializer_list<double>& row : rows) {
+    ALPA_CHECK_EQ(static_cast<int>(row.size()), cols_) << "ragged cost matrix literal";
+    cells_.insert(cells_.end(), row.begin(), row.end());
+  }
+}
+
+void CostMatrix::Keep(const std::vector<int>& rows, const std::vector<int>& cols) {
+  const int kept_rows = rows.empty() ? rows_ : static_cast<int>(rows.size());
+  const int kept_cols = cols.empty() ? cols_ : static_cast<int>(cols.size());
+  // Kept indices ascend, so every cell moves to an index at or below its
+  // own and the row-major compaction never reads a cell it already wrote.
+  size_t out = 0;
+  for (int r = 0; r < kept_rows; ++r) {
+    const double* src = row(rows.empty() ? r : rows[static_cast<size_t>(r)]);
+    for (int c = 0; c < kept_cols; ++c) {
+      cells_[out++] = src[cols.empty() ? c : cols[static_cast<size_t>(c)]];
+    }
+  }
+  cells_.resize(out);
+  rows_ = kept_rows;
+  cols_ = kept_cols;
+}
+
 double IlpProblem::Evaluate(const std::vector<int>& choice) const {
   ALPA_CHECK_EQ(static_cast<int>(choice.size()), num_nodes());
   double total = 0.0;
@@ -23,8 +50,7 @@ double IlpProblem::Evaluate(const std::vector<int>& choice) const {
     total += node_costs[static_cast<size_t>(v)][static_cast<size_t>(choice[static_cast<size_t>(v)])];
   }
   for (const Edge& e : edges) {
-    total += e.cost[static_cast<size_t>(choice[static_cast<size_t>(e.u)])]
-                   [static_cast<size_t>(choice[static_cast<size_t>(e.v)])];
+    total += e.cost.at(choice[static_cast<size_t>(e.u)], choice[static_cast<size_t>(e.v)]);
   }
   return total;
 }
@@ -56,10 +82,8 @@ void IlpProblem::Validate() const {
     ALPA_CHECK_GE(e.v, 0);
     ALPA_CHECK_LT(e.v, num_nodes());
     ALPA_CHECK_NE(e.u, e.v);
-    ALPA_CHECK_EQ(static_cast<int>(e.cost.size()), num_choices(e.u));
-    for (const auto& row : e.cost) {
-      ALPA_CHECK_EQ(static_cast<int>(row.size()), num_choices(e.v));
-    }
+    ALPA_CHECK_EQ(e.cost.rows(), num_choices(e.u));
+    ALPA_CHECK_EQ(e.cost.cols(), num_choices(e.v));
   }
 }
 

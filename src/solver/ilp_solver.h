@@ -24,7 +24,9 @@
 #ifndef SRC_SOLVER_ILP_SOLVER_H_
 #define SRC_SOLVER_ILP_SOLVER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <vector>
@@ -32,6 +34,45 @@
 namespace alpa {
 
 inline constexpr double kInfCost = std::numeric_limits<double>::infinity();
+
+// A dense cost matrix in one contiguous row-major block. Every pass over
+// an edge (build, presolve, the flat-core load, the fingerprint) walks
+// whole rows, so one allocation per matrix replaces one per row.
+class CostMatrix {
+ public:
+  CostMatrix() = default;
+  // rows x cols zeros.
+  CostMatrix(int rows, int cols)
+      : rows_(rows), cols_(cols), cells_(static_cast<size_t>(rows) * static_cast<size_t>(cols)) {}
+  // Row by row: {{a, b}, {c, d}} has rows (a, b) and (c, d). CHECK-fails
+  // on rows of unequal length.
+  CostMatrix(std::initializer_list<std::initializer_list<double>> rows);
+
+  int rows() const { return rows_; }
+  int cols() const { return cols_; }
+  double& at(int i, int j) { return cells_[Index(i, j)]; }
+  double at(int i, int j) const { return cells_[Index(i, j)]; }
+  double* row(int i) { return cells_.data() + Index(i, 0); }
+  const double* row(int i) const { return cells_.data() + Index(i, 0); }
+  // All rows * cols cells, row-major.
+  double* data() { return cells_.data(); }
+  const double* data() const { return cells_.data(); }
+  size_t size() const { return cells_.size(); }
+
+  // Shrinks the matrix in place to the rows at the ascending indices
+  // `rows` and the columns at the ascending indices `cols`; an empty list
+  // keeps every row (column).
+  void Keep(const std::vector<int>& rows, const std::vector<int>& cols);
+
+ private:
+  size_t Index(int i, int j) const {
+    return static_cast<size_t>(i) * static_cast<size_t>(cols_) + static_cast<size_t>(j);
+  }
+
+  int rows_ = 0;
+  int cols_ = 0;
+  std::vector<double> cells_;
+};
 
 // A pairwise graph cost-minimization problem. Infeasible choices are
 // encoded with kInfCost.
@@ -42,8 +83,9 @@ struct IlpProblem {
   struct Edge {
     int u = 0;
     int v = 0;
-    // cost[i][j]: resharding cost when u picks i and v picks j.
-    std::vector<std::vector<double>> cost;
+    // cost.at(i, j): resharding cost when u picks i and v picks j; rows are
+    // u's choices, columns v's.
+    CostMatrix cost;
   };
   std::vector<Edge> edges;
 

@@ -196,11 +196,30 @@ TEST(ArenaRuntime, BumpAllocationAlignsReusesAndGrows) {
   const int64_t high = arena.high_water_bytes();
   EXPECT_GE(high, static_cast<int64_t>(10 * sizeof(float) + 10 * sizeof(double)));
 
+  // The doubles overflowed the first slab, so this Reset regrows it to the
+  // high water; from then on every Reset recycles it from the start.
   arena.Reset();
+  EXPECT_GE(arena.capacity_bytes(), high);
   float* again = arena.AllocFloats(10);
-  // After Reset the slab is recycled from the start.
-  EXPECT_EQ(again, f);
+  arena.Reset();
+  EXPECT_EQ(arena.AllocFloats(10), again);
   EXPECT_EQ(arena.high_water_bytes(), high);
+
+  // A round that outgrows the slab mid-way: 4 KiB, then a 1 MiB overflow
+  // block. Reset drops the block and grows the slab, so the next round's
+  // 1 MiB view lies inside it.
+  arena.Reset();
+  constexpr int64_t kSmall = 4 << 10;
+  constexpr int64_t kLarge = 1 << 20;
+  arena.AllocFloats(kSmall / 4);
+  float* overflow = arena.AllocFloats(kLarge / 4);
+  overflow[kLarge / 4 - 1] = 5.0f;
+  arena.Reset();
+  EXPECT_GE(arena.capacity_bytes(), arena.high_water_bytes());
+  const uintptr_t slab = reinterpret_cast<uintptr_t>(arena.AllocFloats(kSmall / 4));
+  const uintptr_t large = reinterpret_cast<uintptr_t>(arena.AllocFloats(kLarge / 4));
+  EXPECT_GE(large, slab);
+  EXPECT_LE(large + kLarge, slab + static_cast<uintptr_t>(arena.capacity_bytes()));
 
   arena.Reset();
   float* big = arena.AllocFloats(1 << 20);

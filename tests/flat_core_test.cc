@@ -80,9 +80,7 @@ void ExpectMatchesReference(const IlpProblem& problem, Coverage* coverage) {
 void ScaleEdges(Rng& rng, IlpProblem& problem) {
   for (IlpProblem::Edge& e : problem.edges) {
     const double scale = std::pow(10.0, static_cast<double>(rng.NextBounded(10)) - 6.0);
-    for (auto& row : e.cost) {
-      for (double& c : row) c *= scale;
-    }
+    for (size_t c = 0; c < e.cost.size(); ++c) e.cost.data()[c] *= scale;
   }
 }
 

@@ -62,6 +62,17 @@ inline IlpProblem RandomNodes(Rng& rng, int nodes, int max_choices) {
   return problem;
 }
 
+// An edge u -> v with costs in [0, 5), drawn row by row.
+inline IlpProblem::Edge RandomEdge(Rng& rng, const IlpProblem& problem, int u, int v) {
+  IlpProblem::Edge edge{u, v, CostMatrix(problem.num_choices(u), problem.num_choices(v))};
+  for (int i = 0; i < edge.cost.rows(); ++i) {
+    for (int j = 0; j < edge.cost.cols(); ++j) {
+      edge.cost.at(i, j) = rng.NextDouble(0, 5);
+    }
+  }
+  return edge;
+}
+
 // RandomNodes plus an edge on each node pair with probability `edge_prob`,
 // costs in [0, 5); each edge cost is infeasible with probability
 // `inf_prob` (no random draw is spent on that when it is 0).
@@ -73,17 +84,14 @@ inline IlpProblem RandomProblem(Rng& rng, int nodes, int max_choices, double edg
       if (rng.NextDouble() > edge_prob) {
         continue;
       }
-      IlpProblem::Edge edge;
-      edge.u = u;
-      edge.v = v;
-      edge.cost.resize(problem.node_costs[static_cast<size_t>(u)].size());
-      for (auto& row : edge.cost) {
-        for (size_t j = 0; j < problem.node_costs[static_cast<size_t>(v)].size(); ++j) {
+      IlpProblem::Edge edge{u, v, CostMatrix(problem.num_choices(u), problem.num_choices(v))};
+      for (int i = 0; i < edge.cost.rows(); ++i) {
+        for (int j = 0; j < edge.cost.cols(); ++j) {
           double c = rng.NextDouble(0, 5);
           if (inf_prob > 0 && rng.NextDouble() < inf_prob) {
             c = kInfCost;
           }
-          row.push_back(c);
+          edge.cost.at(i, j) = c;
         }
       }
       problem.edges.push_back(std::move(edge));
@@ -134,7 +142,7 @@ inline FlatCore ReferenceFlatCore(const IlpProblem& p, int* sweeps = nullptr) {
     const int kv = p.num_choices(e.v);
     for (int i = 0; i < ku; ++i) {
       for (int j = 0; j < kv; ++j) {
-        const double c = clamp(e.cost[static_cast<size_t>(i)][static_cast<size_t>(j)]);
+        const double c = clamp(e.cost.at(i, j));
         f.arena[static_cast<size_t>(base_uv[k] + int64_t{i} * kv + j)] = c;
         f.arena[static_cast<size_t>(base_vu[k] + int64_t{j} * ku + i)] = c;
       }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -12,19 +14,6 @@
 
 namespace alpa {
 namespace {
-
-IlpProblem::Edge RandomEdge(Rng& rng, const IlpProblem& problem, int u, int v) {
-  IlpProblem::Edge edge;
-  edge.u = u;
-  edge.v = v;
-  edge.cost.resize(problem.node_costs[static_cast<size_t>(u)].size());
-  for (auto& row : edge.cost) {
-    for (size_t j = 0; j < problem.node_costs[static_cast<size_t>(v)].size(); ++j) {
-      row.push_back(rng.NextDouble(0, 5));
-    }
-  }
-  return edge;
-}
 
 // End-to-end exactness harness: presolve, brute-force the residual core,
 // reconstruct, and compare against brute force on the original problem.
@@ -285,7 +274,7 @@ TEST(IlpPresolve, FingerprintSeparatesProblems) {
   }
   IlpProblem b = a;
   EXPECT_EQ(IlpProblemFingerprint(a), IlpProblemFingerprint(b));
-  b.edges[2].cost[0][0] += 1e-9;
+  b.edges[2].cost.at(0, 0) += 1e-9;
   EXPECT_NE(IlpProblemFingerprint(a), IlpProblemFingerprint(b));
   IlpProblem c = a;
   c.node_costs[3][0] = -c.node_costs[3][0];
@@ -298,13 +287,71 @@ TEST(IlpPresolve, FingerprintSeparatesProblems) {
   d.node_costs[3][0] = -d.node_costs[3][0];
   EXPECT_NE(IlpProblemFingerprint(a), IlpProblemFingerprint(d));
   IlpProblem d2 = a;
-  d2.edges[0].cost[0][0] = -d2.edges[0].cost[0][0];
-  d2.edges[3].cost[0][0] = -d2.edges[3].cost[0][0];
+  d2.edges[0].cost.at(0, 0) = -d2.edges[0].cost.at(0, 0);
+  d2.edges[3].cost.at(0, 0) = -d2.edges[3].cost.at(0, 0);
   EXPECT_NE(IlpProblemFingerprint(a), IlpProblemFingerprint(d2));
   // The same edges in another order.
   IlpProblem g = a;
   std::swap(g.edges[0], g.edges[2]);
   EXPECT_NE(IlpProblemFingerprint(a), IlpProblemFingerprint(g));
+
+  // Cost vectors and matrices of every length from 1 to 9, so words land
+  // on each of the hasher's four chains and every span ends at each tail
+  // position: node v has v + 1 choices (plus a second one-choice node),
+  // and node 0's edges are 1 x 1 through 1 x 9 matrices.
+  IlpProblem h;
+  for (int k = 1; k <= 9; ++k) {
+    h.node_costs.emplace_back();
+    for (int i = 0; i < k; ++i) h.node_costs.back().push_back(rng.NextDouble(0, 10));
+  }
+  h.node_costs.push_back({rng.NextDouble(0, 10)});
+  h.edges.push_back(RandomEdge(rng, h, 0, 9));
+  for (int v = 1; v < 9; ++v) h.edges.push_back(RandomEdge(rng, h, 0, v));
+  const uint64_t base = IlpProblemFingerprint(h);
+  EXPECT_EQ(IlpProblemFingerprint(IlpProblem(h)), base);
+  IlpProblem m = h;
+  std::vector<std::pair<double*, size_t>> cost_lists;  // By node, then edge.
+  for (auto& costs : m.node_costs) cost_lists.push_back({costs.data(), costs.size()});
+  for (auto& e : m.edges) cost_lists.push_back({e.cost.data(), e.cost.size()});
+  for (const auto& [costs, n] : cost_lists) {
+    for (size_t k = 0; k < n; ++k) {
+      const double original = costs[k];
+      for (int bit = 0; bit < 64; ++bit) {
+        uint64_t word = 0;
+        std::memcpy(&word, &original, sizeof(word));
+        word ^= uint64_t{1} << bit;
+        std::memcpy(&costs[k], &word, sizeof(word));
+        EXPECT_NE(IlpProblemFingerprint(m), base) << "cost bit " << bit;
+      }
+      costs[k] = original;
+      if (k + 1 < n && costs[k] != costs[k + 1]) {
+        std::swap(costs[k], costs[k + 1]);
+        EXPECT_NE(IlpProblemFingerprint(m), base) << "swapped costs " << k << ", " << k + 1;
+        std::swap(costs[k], costs[k + 1]);
+      }
+    }
+  }
+  ASSERT_EQ(IlpProblemFingerprint(m), base);
+  for (IlpProblem::Edge& e : m.edges) {
+    for (int* end : {&e.u, &e.v}) {
+      const int original = *end;
+      *end = original == 9 ? 8 : original + 1;
+      EXPECT_NE(IlpProblemFingerprint(m), base) << "endpoint " << original;
+      *end = original;
+    }
+  }
+  // A size: the boundary between two nodes' lists moves by one cost, the
+  // flattened cost stream stays the same.
+  for (size_t v = 1; v + 1 < m.node_costs.size(); ++v) {
+    std::vector<double>& left = m.node_costs[v];
+    std::vector<double>& right = m.node_costs[v + 1];
+    right.insert(right.begin(), left.back());
+    left.pop_back();
+    EXPECT_NE(IlpProblemFingerprint(m), base) << "sizes of nodes " << v << ", " << v + 1;
+    left.push_back(right.front());
+    right.erase(right.begin());
+  }
+  EXPECT_EQ(IlpProblemFingerprint(m), base);
 }
 
 TEST(IlpPresolve, FingerprintSeparatesReshapedCosts) {
@@ -320,9 +367,9 @@ TEST(IlpPresolve, FingerprintSeparatesReshapedCosts) {
   IlpProblem swapped = a;
   IlpProblem::Edge& e = swapped.edges[0];
   std::swap(e.u, e.v);
-  const std::vector<std::vector<double>> cost = e.cost;
-  for (size_t i = 0; i < cost.size(); ++i) {
-    for (size_t j = 0; j < cost[i].size(); ++j) e.cost[j][i] = cost[i][j];
+  const CostMatrix cost = e.cost;
+  for (int i = 0; i < cost.rows(); ++i) {
+    for (int j = 0; j < cost.cols(); ++j) e.cost.at(j, i) = cost.at(i, j);
   }
   swapped.Validate();
   EXPECT_EQ(a.Evaluate({0, 1, 2}), swapped.Evaluate({0, 1, 2}));

@@ -126,16 +126,8 @@ TEST(IlpSolver, MatchesBruteForceOnRandomTrees) {
     IlpProblem problem = RandomProblem(rng, nodes, 4, 0.0);
     // Build a random spanning tree.
     for (int v = 1; v < nodes; ++v) {
-      IlpProblem::Edge edge;
-      edge.u = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(v)));
-      edge.v = v;
-      edge.cost.resize(problem.node_costs[static_cast<size_t>(edge.u)].size());
-      for (auto& row : edge.cost) {
-        for (size_t j = 0; j < problem.node_costs[static_cast<size_t>(v)].size(); ++j) {
-          row.push_back(rng.NextDouble(0, 5));
-        }
-      }
-      problem.edges.push_back(std::move(edge));
+      const int u = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(v)));
+      problem.edges.push_back(RandomEdge(rng, problem, u, v));
     }
     const IlpSolution solution = IlpSolver().Solve(problem);
     EXPECT_EQ(solution.method, "dp-forest") << trial;
@@ -189,16 +181,7 @@ TEST(IlpSolver, LargeChainIsFast) {
   Rng rng(3);
   IlpProblem problem = RandomProblem(rng, 2000, 8, 0.0);
   for (int v = 0; v + 1 < 2000; ++v) {
-    IlpProblem::Edge edge;
-    edge.u = v;
-    edge.v = v + 1;
-    edge.cost.resize(problem.node_costs[static_cast<size_t>(v)].size());
-    for (auto& row : edge.cost) {
-      for (size_t j = 0; j < problem.node_costs[static_cast<size_t>(v + 1)].size(); ++j) {
-        row.push_back(rng.NextDouble(0, 5));
-      }
-    }
-    problem.edges.push_back(std::move(edge));
+    problem.edges.push_back(RandomEdge(rng, problem, v, v + 1));
   }
   const IlpSolution solution = IlpSolver().Solve(problem);
   EXPECT_TRUE(solution.optimal);

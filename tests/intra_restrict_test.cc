@@ -75,11 +75,13 @@ bool SameBytes(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) 
   for (size_t e = 0; e < expected.ilp.edges.size(); ++e) {
     const IlpProblem::Edge& want = expected.ilp.edges[e];
     const IlpProblem::Edge& got = actual.ilp.edges[e];
-    if (want.u != got.u || want.v != got.v || want.cost.size() != got.cost.size()) {
-      return ::testing::AssertionFailure() << "edge " << e << ": endpoints or rows differ";
+    if (want.u != got.u || want.v != got.v || want.cost.rows() != got.cost.rows() ||
+        want.cost.cols() != got.cost.cols()) {
+      return ::testing::AssertionFailure() << "edge " << e << ": endpoints or shape differ";
     }
-    for (size_t i = 0; i < want.cost.size(); ++i) {
-      if (!SameBytes(want.cost[i], got.cost[i])) {
+    for (int i = 0; i < want.cost.rows(); ++i) {
+      if (std::memcmp(want.cost.row(i), got.cost.row(i),
+                      static_cast<size_t>(want.cost.cols()) * sizeof(double)) != 0) {
         return ::testing::AssertionFailure() << "edge " << e << " row " << i << " differs";
       }
     }
@@ -290,11 +292,9 @@ void ReverseChoices(IntraOpProblem* problem) {
     std::reverse(problem->algorithms[n].begin(), problem->algorithms[n].end());
     std::reverse(problem->ilp.node_costs[n].begin(), problem->ilp.node_costs[n].end());
   }
+  // Row-major, so reversing the cells reverses the rows and each row.
   for (IlpProblem::Edge& edge : problem->ilp.edges) {
-    std::reverse(edge.cost.begin(), edge.cost.end());
-    for (std::vector<double>& row : edge.cost) {
-      std::reverse(row.begin(), row.end());
-    }
+    std::reverse(edge.cost.data(), edge.cost.data() + edge.cost.size());
   }
 }
 

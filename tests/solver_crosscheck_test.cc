@@ -129,16 +129,7 @@ TEST(SolverCrossCheck, StagedSolvesDisconnectedComponentsExactly) {
     // splitting must solve each piece and stitch the assignment together.
     IlpProblem problem = RandomProblem(rng, 9, 3, 0.0, 0.0);
     auto add_edge = [&](int u, int v) {
-      IlpProblem::Edge edge;
-      edge.u = u;
-      edge.v = v;
-      edge.cost.resize(problem.node_costs[static_cast<size_t>(u)].size());
-      for (auto& row : edge.cost) {
-        for (size_t j = 0; j < problem.node_costs[static_cast<size_t>(v)].size(); ++j) {
-          row.push_back(rng.NextDouble(0, 5));
-        }
-      }
-      problem.edges.push_back(std::move(edge));
+      problem.edges.push_back(RandomEdge(rng, problem, u, v));
     };
     add_edge(0, 1);
     add_edge(1, 2);
